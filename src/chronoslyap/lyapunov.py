@@ -16,6 +16,11 @@ transition sweep, plus a stationary variant whose initial matrix is the
 truncated improper integral of Phi^T M Phi.  The stationary solve is
 evaluated by a backward sweep that never inverts a transition matrix, so
 it tolerates non-regressive systems (whose forward flow may be singular).
+
+All sweeps of one solve read a single exact step table
+(:func:`~chronoslyap.transition.step_table`): the forward transition, the
+cumulative Gramian and the backward Gramian sweep.  The stationary spot
+checks recompute sub-window values without that table.
 """
 
 from __future__ import annotations
@@ -45,9 +50,13 @@ from .errors import (
 from .timescale import Grid, TimeScaleWindow, build_grid, make_canonical
 from .tscalc import stack_delta
 from .transition import (
+    StepTable,
     SystemMatrix,
     TransitionMatrix,
     check_matrix_regressive,
+    dense_stiffness,
+    gramian_step_pair,
+    step_table,
     sweep_transition,
 )
 
@@ -95,6 +104,13 @@ class CostMatrix:
         if self.constant is not None:
             return self.constant
         return np.asarray(self.rule(t), dtype=float)
+
+    def stack_at(self, times) -> np.ndarray:
+        """M(t) for each of ``times``, shape (len(times), n, n)."""
+        if self.constant is not None:
+            return np.broadcast_to(self.constant, (len(times), self.n, self.n))
+        return np.array([self.at(float(t)) for t in times]).reshape(
+            len(times), self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -316,65 +332,40 @@ def solve_dale_oracle(A, M) -> np.ndarray:
 # -- shared dynamic machinery -------------------------------------------------
 
 
-def _cumulative_gramian(A: SystemMatrix, M: CostMatrix, grid: Grid,
-                        tm: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _cumulative_gramian(M: CostMatrix, grid: Grid, tm: TransitionMatrix,
+                        table: StepTable) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative K(t_i) = integral over [t0, t_i) of Phi^T M Phi, plus the
     integrand-norm envelope at every grid point.
 
-    Scattered points contribute mu * Phi^T M Phi exactly; dense intervals
-    use a Simpson panel on the cached sweep (endpoint, midpoint, endpoint).
+    Interval i contributes Phi_i^T K_i Phi_i with K_i from the step table
+    (mu M at a jump, the Van Loan Gramian across a dense interval).
     """
-    G = len(grid)
-    n = A.n
-    K = np.zeros((G, n, n))
-    env = np.zeros(G)
-    acc = np.zeros((n, n))
-
-    def integrand(i: int) -> np.ndarray:
-        phi = tm.stack[i]
-        return phi.T @ M.at(float(grid.times[i])) @ phi
-
-    g_i = integrand(tm.base_index)
-    env[tm.base_index] = np.linalg.norm(g_i, "fro")
-    for i in range(tm.base_index, G - 1):
-        t_i, t_n = float(grid.times[i]), float(grid.times[i + 1])
-        g_next = integrand(i + 1)
-        if grid.mus[i] > 0.0:
-            acc = acc + float(grid.mus[i]) * g_i
-        else:
-            phi_mid = tm.mids[i]
-            t_mid = 0.5 * (t_i + t_n)
-            g_mid = phi_mid.T @ M.at(t_mid) @ phi_mid
-            acc = acc + (t_n - t_i) / 6.0 * (g_i + 4.0 * g_mid + g_next)
-        env[i + 1] = np.linalg.norm(g_next, "fro")
-        K[i + 1] = acc
-        g_i = g_next
+    Phi = tm.stack
+    PhiT = np.swapaxes(Phi, 1, 2)
+    env = np.linalg.norm(PhiT @ M.stack_at(grid.times) @ Phi, axis=(1, 2))
+    K = np.zeros_like(Phi)
+    np.cumsum(PhiT[:-1] @ table.K @ Phi[:-1], axis=0, out=K[1:])
     return K, env
+
+
+def dynamic_operator(grid: Grid, A: SystemMatrix, P: np.ndarray,
+                     Pd: np.ndarray) -> np.ndarray:
+    """A^T P + P A + mu A^T P A + (I + mu A)^T P^delta (I + mu A) at every
+    point of ``grid``: the left side of the dynamic equation without M."""
+    A_stack = A.stack_at(grid.times)
+    mus = grid.mus[:, None, None]
+    At = np.swapaxes(A_stack, 1, 2)
+    L = np.eye(A.n) + mus * A_stack
+    return (At @ P + P @ A_stack + mus * (At @ P @ A_stack)
+            + np.swapaxes(L, 1, 2) @ Pd @ L)
 
 
 def _residual_stack(grid: Grid, A: SystemMatrix, M: CostMatrix,
                     P_stack: np.ndarray) -> np.ndarray:
     """Per-point Frobenius residual of the dynamic equation with numeric
     P^delta; NaN where the difference estimate does not exist."""
-    G, n, _ = P_stack.shape
-    ts = grid.times
-    if A.is_constant:
-        A_stack = np.broadcast_to(A.constant, (G, n, n))
-    else:
-        A_stack = np.stack([A.at(float(t)) for t in ts])
-    if M.is_constant:
-        M_stack = np.broadcast_to(M.constant, (G, n, n))
-    else:
-        M_stack = np.stack([M.at(float(t)) for t in ts])
     Pd, valid = stack_delta(grid, P_stack)
-    mus = grid.mus[:, None, None]
-    At = np.transpose(A_stack, (0, 2, 1))
-    L = np.eye(n) + mus * A_stack
-    Lt = np.transpose(L, (0, 2, 1))
-    R = (
-        At @ P_stack + P_stack @ A_stack + mus * (At @ P_stack @ A_stack)
-        + Lt @ Pd @ L + M_stack
-    )
+    R = dynamic_operator(grid, A, P_stack, Pd) + M.stack_at(grid.times)
     norms = np.linalg.norm(R, axis=(1, 2))
     norms[~valid] = np.nan
     return norms
@@ -420,8 +411,9 @@ def solve_tsdle(A, M, P0, w: TimeScaleWindow, t0: float,
             "needs a regressive system"
         )
 
-    tm = sweep_transition(A, grid)
-    K, _ = _cumulative_gramian(A, M, grid, tm)
+    table = step_table(A, grid, M)
+    tm = sweep_transition(A, grid, table=table)
+    K, _ = _cumulative_gramian(M, grid, tm, table)
     G, n = len(grid), A.n
     P_stack = np.empty((G, n, n))
     P_stack[0] = _symmetrize_checked(P0)
@@ -442,12 +434,11 @@ def solve_tsdle(A, M, P0, w: TimeScaleWindow, t0: float,
     )
 
 
-def _stationary_ic_with_info(A: SystemMatrix, M: CostMatrix,
-                             w: TimeScaleWindow, t0: float,
-                             tail_tol: float,
-                             grid: Grid) -> tuple[np.ndarray, dict, np.ndarray]:
-    tm = sweep_transition(A, grid)
-    K, env = _cumulative_gramian(A, M, grid, tm)
+def _stationary_ic_with_info(A: SystemMatrix, M: CostMatrix, grid: Grid,
+                             tail_tol: float, table: StepTable,
+                             ) -> tuple[np.ndarray, dict, np.ndarray]:
+    tm = sweep_transition(A, grid, table=table)
+    K, env = _cumulative_gramian(M, grid, tm, table)
     K_end = K[-1]
     norm_k = float(np.linalg.norm(K_end, "fro"))
     info: dict = {"tail_estimate": 0.0, "decay_slope": None}
@@ -504,70 +495,54 @@ def stationary_initial_condition(A, M, w: TimeScaleWindow, t0: float,
         raise InvalidParameter("t0 must be the window start")
     if grid is None:
         grid = build_grid(w, dense_step)
-    P0, _, _ = _stationary_ic_with_info(A, M, w, t0, tail_tol, grid)
+    P0, _, _ = _stationary_ic_with_info(A, M, grid, tail_tol,
+                                        step_table(A, grid, M))
     return P0
 
 
-def _backward_gramian_sweep(A: SystemMatrix, M: CostMatrix,
-                            grid: Grid) -> np.ndarray:
+def _backward_gramian_sweep(table: StepTable) -> np.ndarray:
     """P(t_i) = integral over [t_i, t_end) of Phi^T(s, t_i) M(s) Phi(s, t_i),
-    by the backward recursion that never inverts a transition matrix:
-
-        scattered: P(t) = (I + mu A)^T P(sigma(t)) (I + mu A) + mu M(t)
-        dense:     P(t - h) = E^T P(t) E + K_h with E = expm(h A) and
-                   K_h the one-step weighted Gramian (exact for the
-                   piecewise-constant coefficients; K_h from one block
-                   matrix exponential, cached across uniform steps).
-    """
-    G, n = len(grid), A.n
+    by the backward recursion P_i = F_i^T P_{i+1} F_i + K_i over the step
+    table, which never inverts a transition matrix."""
+    F, K = table.F, table.K
+    G, n = len(F) + 1, F.shape[1]
     P = np.zeros((G, n, n))
-    eye = np.eye(n)
-    cache: dict = {}
     for i in range(G - 2, -1, -1):
-        t_i, t_n = float(grid.times[i]), float(grid.times[i + 1])
-        m_i = float(grid.mus[i])
-        if m_i > 0.0:
-            B = eye + m_i * A.at(t_i)
-            P[i] = B.T @ P[i + 1] @ B + m_i * M.at(t_i)
-        else:
-            P[i] = _backward_dense_step(A, M, P[i + 1], t_n, t_i, cache)
-        P[i] = 0.5 * (P[i] + P[i].T)
+        Pi = F[i].T @ P[i + 1] @ F[i] + K[i]
+        P[i] = 0.5 * (Pi + Pi.T)
     return P
 
 
-def _gramian_step_pair(A_mat: np.ndarray, M_mat: np.ndarray,
-                       h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(expm(h A), integral_0^h expm(s A^T) M expm(s A) ds) via one block
-    matrix exponential."""
-    n = A_mat.shape[0]
-    H = np.block([[-A_mat.T, M_mat], [np.zeros((n, n)), A_mat]])
-    E = expm(H * h)
-    phi = E[n:, n:]
-    K = phi.T @ E[:n, n:]
-    return phi, 0.5 * (K + K.T)
+def _tail_gramians(A: SystemMatrix, M: np.ndarray, w: TimeScaleWindow,
+                   times) -> list[np.ndarray]:
+    """P(t) = integral over [t, t_end) of Phi^T(s, t) M Phi(s, t) at each of
+    the grid times ``times``, for a constant M, without the step table.
 
-
-def _backward_dense_step(A: SystemMatrix, M: CostMatrix, P: np.ndarray,
-                         t_hi: float, t_lo: float, cache: dict) -> np.ndarray:
-    """Pull the weighted Gramian back across a dense interval."""
-    cuts = sorted({t_lo, *A.breakpoints_in(t_lo, t_hi)}, reverse=True)
-    t = t_hi
-    for cut in cuts:
-        if cut >= t:
-            continue
-        h = t - cut
-        A_here = A.at(cut)  # hold-last value rules [cut, t)
-        M_here = M.at(cut) if M.is_constant else M.at(0.5 * (cut + t))
-        key = (h, A.piece_index(cut))
-        pair = cache.get(key) if M.is_constant else None
-        if pair is None:
-            pair = _gramian_step_pair(A_here, M_here, h)
-            if M.is_constant:
-                cache[key] = pair
-        E, Kh = pair
-        P = E.T @ P @ E + Kh
-        t = cut
-    return P
+    One backward pass over the window: I + mu A per jump and one Van Loan
+    exponential per maximal dense piece (a segment split only at schedule
+    breakpoints and at ``times``), so it shares no step map with the
+    production sweeps.
+    """
+    wanted = {float(t) for t in times}
+    found: dict[float, np.ndarray] = {}
+    seg = np.array(w.segments)
+    gaps = np.append(seg[1:, 0], seg[-1, 1]) - seg[:, 1]  # 0 after the end
+    B = np.eye(A.n) + gaps[:, None, None] * A.stack_at(seg[:, 1])
+    P = np.zeros((A.n, A.n))
+    for j in range(len(seg) - 1, -1, -1):
+        a, b = w.segments[j]
+        P = B[j].T @ P @ B[j] + gaps[j] * M
+        inner = {c for c in (*wanted, *A.breakpoints_in(a, b)) if a < c < b}
+        cuts = sorted({a, b, *inner}, reverse=True)
+        for hi, lo in zip(cuts, cuts[1:] + [None]):
+            if hi in wanted:
+                found[hi] = P
+            if lo is not None:
+                F, K = gramian_step_pair(A.at(lo), M, hi - lo)
+                P = F.T @ P @ F + K
+        if len(found) == len(wanted):
+            break
+    return [found[float(t)] for t in times]
 
 
 def solve_tsdle_stationary(A, M, w: TimeScaleWindow, t0: float,
@@ -583,12 +558,14 @@ def solve_tsdle_stationary(A, M, w: TimeScaleWindow, t0: float,
     evaluated by the inversion-free backward sweep, so non-regressive
     systems are handled.
 
-    The result is recomputed directly from its integral form at three
-    interior grid points with an independent clipped-window sweep and must
-    agree within ``spot_tol`` relative.  When M is positive definite, every
-    reported P(t) is checked positive definite (PositiveDefinitenessLost
-    otherwise).  The terminal grid point is not reported: the windowed
-    tail based there is empty and carries no information.
+    The value at the window start must match the forward integral, and
+    (for a constant M) the values at three interior grid points must match
+    their integral form recomputed without the step table (see
+    :func:`_tail_gramians`), all within ``spot_tol`` relative.  When M is
+    positive definite, every reported P(t) is checked positive definite
+    (PositiveDefinitenessLost otherwise).  The terminal grid point is not
+    reported: the windowed tail based there is empty and carries no
+    information.
     """
     A = _as_system(A)
     M = _as_cost(M)
@@ -599,33 +576,31 @@ def solve_tsdle_stationary(A, M, w: TimeScaleWindow, t0: float,
     if len(grid) < 2:
         raise InvalidParameter("window too small for a stationary solve")
 
-    P0_forward, info, K_cum = _stationary_ic_with_info(A, M, w, t0, tail_tol,
-                                                       grid)
-    P_stack = _backward_gramian_sweep(A, M, grid)
+    table = step_table(A, grid, M)
+    P0_forward, info, K_cum = _stationary_ic_with_info(A, M, grid, tail_tol,
+                                                       table)
+    P_stack = _backward_gramian_sweep(table)
 
-    # two-path agreement: backward sweep vs direct forward integrals
-    scale0 = max(float(np.linalg.norm(P0_forward, "fro")), 1e-300)
-    diffs = [float(np.linalg.norm(P_stack[0] - P0_forward, "fro")) / scale0]
+    # backward sweep vs forward integral (both from the table), then
+    # sub-window values recomputed from their integral form
     G = len(grid)
-    for frac in (0.25, 0.5, 0.75):
-        k = min(int(frac * (G - 1)), G - 2)
-        if k <= 0:
-            continue
-        t_k = float(grid.times[k])
-        sub_w = w.clip(t_k, w.t_end)
-        sub_grid = build_grid(sub_w, grid.dense_step)
-        sub_tm = sweep_transition(A, sub_grid)
-        K_sub, _ = _cumulative_gramian(A, M, sub_grid, sub_tm)
-        direct = K_sub[-1]
-        scale = max(float(np.linalg.norm(direct, "fro")), 1e-300)
-        diffs.append(
-            float(np.linalg.norm(P_stack[k] - direct, "fro")) / scale
-        )
-    spot_max = max(diffs)
+    ks = sorted({min(int(frac * (G - 1)), G - 2)
+                 for frac in (0.25, 0.5, 0.75)} - {0})
+    checks = [(0, P0_forward)]
+    if M.is_constant:  # the integral form needs Van Loan's closed form
+        checks += zip(ks, _tail_gramians(A, M.constant, w, grid.times[ks]))
+    diffs = [float(np.linalg.norm(P_stack[k] - want, "fro"))
+             / max(float(np.linalg.norm(want, "fro")), 1e-300)
+             for k, want in checks]
+    worst = int(np.argmax(diffs))
+    spot_max = diffs[worst]
     if spot_max > spot_tol:
+        t_worst = grid.times[checks[worst][0]]
         raise SpotCheckFailed(
             f"stationary solution disagrees with its direct integral form "
-            f"by {spot_max:.3e} relative (tolerance {spot_tol:g})"
+            f"by {spot_max:.3e} relative at t = {t_worst:g} "
+            f"(tolerance {spot_tol:g}); largest dense step h*max|eig(A)| = "
+            f"{dense_stiffness(A, grid):.3g}, try a smaller dense_step"
         )
 
     residuals = _residual_stack(grid, A, M, P_stack)
@@ -726,8 +701,7 @@ def cdle_direct_solution(A: np.ndarray, M: np.ndarray, P0: np.ndarray,
     """Direct evaluation of the continuous closed form for constant A, M.
 
     Uses one block matrix exponential for the weighted Gramian integral
-    (Van Loan's construction), entirely independent of the RK4/Simpson
-    path:
+    (Van Loan's construction), independent of the step-table sweeps:
 
         expm([[-A^T, M], [0, A]] s)[0:n, n:2n]  ->  F,
         K(s) = expm(A^T s) F = integral_0^s expm(A^T u) M expm(A u) du.

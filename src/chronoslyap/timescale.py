@@ -333,10 +333,6 @@ class Grid:
                 return j
         raise NotInTimeScale(f"t = {t} is not a grid point")
 
-    def is_scattered(self, i: int) -> bool:
-        """Whether grid interval i -> i+1 is a jump across a gap."""
-        return self.mus[i] > 0.0
-
     def point_class(self, i: int) -> PointClass:
         return classify(self.window, float(self.times[i]))
 

@@ -1,12 +1,15 @@
 """Transition matrices for x^delta = A(t) x on a time-scale window.
 
 The transition matrix solves the matrix initial value problem
-X^delta = A(t) X, X(t0) = I.  Across a scattered point s the exact update
-is X <- (I + mu(s) A(s)) X; across dense sub-segments the classical RK4
-scheme advances X' = A(t) X with a fixed step.  A forward sweep caches the
-matrix at every grid point (plus dense-interval midpoints, which the
-Lyapunov solvers use for Simpson quadrature); inverses are computed lazily
-by LU solve with a condition-number estimate.
+X^delta = A(t) X, X(t0) = I.  A(t) is constant or hold-last piecewise
+constant, so every grid interval has an exact step map: X <- (I + mu A) X
+across a scattered point and X <- expm(h A) X across a dense interval
+(composed over the schedule pieces it straddles).  :func:`step_table`
+builds these maps once per distinct interval class and gathers them by
+index; given a cost M it also holds each interval's weighted Gramian, from
+Van Loan's block exponential.  The forward sweep here and the Gramian
+sweeps of the Lyapunov solvers all consume one table.  Inverses are
+computed lazily by LU solve with a condition-number estimate.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     InvalidParameter,
@@ -82,24 +86,29 @@ class SystemMatrix:
         return cls(n=mats.shape[1], schedule_times=np.asarray(times, float),
                    schedule_mats=mats)
 
-    # tabulated samples share the hold-last semantics of a schedule
-    from_table = from_schedule
-
     @property
     def is_constant(self) -> bool:
         return self.constant is not None
 
-    def piece_index(self, t: float) -> int:
-        """Index of the hold-last piece ruling t (0 for a constant A)."""
+    def pieces_at(self, times) -> np.ndarray:
+        """Index of the hold-last piece ruling each of ``times`` (0 for a
+        constant A)."""
         if self.constant is not None:
-            return 0
-        i = int(np.searchsorted(self.schedule_times, t, side="right")) - 1
-        return max(i, 0)
+            return np.zeros(np.shape(times), dtype=int)
+        i = np.searchsorted(self.schedule_times, times, side="right") - 1
+        return np.maximum(i, 0)
 
     def at(self, t: float) -> np.ndarray:
         if self.constant is not None:
             return self.constant
-        return self.schedule_mats[self.piece_index(t)]
+        i = int(np.searchsorted(self.schedule_times, t, side="right")) - 1
+        return self.schedule_mats[max(i, 0)]
+
+    def stack_at(self, times) -> np.ndarray:
+        """A(t) for each of ``times``, shape (len(times), n, n)."""
+        if self.constant is not None:
+            return np.broadcast_to(self.constant, (len(times), self.n, self.n))
+        return self.schedule_mats[self.pieces_at(times)]
 
     def recursive_at(self, t: float) -> np.ndarray:
         return self.at(t) + np.eye(self.n)
@@ -115,22 +124,15 @@ class SystemMatrix:
 class TransitionMatrix:
     """Cached transition sweep Phi(t, t0) on a grid.
 
-    ``stack[i]`` holds Phi(times[i], t0) for i >= base_index; ``mids`` maps
-    a dense interval's left grid index to Phi at the interval midpoint.
-    The object is immutable after the sweep apart from the lazily filled
-    inverse cache.
+    ``stack[i]`` holds Phi(times[i], t0) for i >= base_index.  The object
+    is immutable after the sweep apart from the lazily filled inverse
+    cache.
     """
 
     grid: Grid
     base_index: int
     stack: np.ndarray               # (G, n, n); NaN before base_index
-    mids: dict[int, np.ndarray]
-    step_target: float
-    _inv_cache: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict)
-
-    @property
-    def base(self) -> float:
-        return float(self.grid.times[self.base_index])
+    _inv_cache: dict[int, np.ndarray] = field(default_factory=dict)
 
     def at_index(self, i: int) -> np.ndarray:
         if i < self.base_index:
@@ -167,100 +169,141 @@ class TransitionMatrix:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            self._inv_cache[i] = (inv, cond)
-        return self._inv_cache[i][0]
-
-    def condition_at(self, t: float) -> float:
-        i = self.grid.index_of(t)
-        self.inverse_at_index(i)
-        return self._inv_cache[i][1]
+            self._inv_cache[i] = inv
+        return self._inv_cache[i]
 
 
-def _rk4_propagator(A: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of X' = A X as a matrix map.
+@dataclass(frozen=True, eq=False)
+class StepTable:
+    """Exact one-interval maps of a grid.
 
-    For a constant coefficient the four stages collapse to the degree-4
-    Taylor polynomial of expm(h A); applying it is bit-for-bit the RK4
-    update up to rounding, at a quarter of the multiplications.
+    ``F[i]`` carries the state from times[i] to times[i+1].  With a cost,
+    ``K[i]`` is the integral over [times[i], times[i+1]) of
+    Phi^T(s, times[i]) M(s) Phi(s, times[i]): mu M(times[i]) at a jump.
     """
-    hA = h * A
-    n = A.shape[0]
-    R = np.eye(n) + hA / 4.0
-    R = np.eye(n) + (hA / 3.0) @ R
-    R = np.eye(n) + (hA / 2.0) @ R
-    return np.eye(n) + hA @ R
+
+    F: np.ndarray                   # (G-1, n, n)
+    K: np.ndarray | None = None     # (G-1, n, n), with a cost only
 
 
-def _advance_dense(A: SystemMatrix, X: np.ndarray, lo: float, hi: float,
-                   step_target: float,
-                   cache: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate X' = A(t) X from lo to hi; also return X at the midpoint.
+def gramian_step_pair(A_mat: np.ndarray, M_mat: np.ndarray,
+                      h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(expm(h A), integral_0^h expm(s A^T) M expm(s A) ds) for constant A
+    and M, from Van Loan's block matrix exponential.
 
-    Integration is split at schedule breakpoints so each RK4 step sees a
-    constant A; the per-step propagator is cached across the uniform
-    interior steps of a sweep.
+    The block exponential carries expm(-h A^T), so its rounding error
+    grows like expm(||A|| h) relative to the Gramian.  Long steps are
+    therefore taken as 2^k sub-steps with ||A|| h / 2^k <= 1/2, squared
+    back up by (F, K) <- (F F, K + F^T K F).
     """
-    if cache is None:
-        cache = {}
-    mid = 0.5 * (lo + hi)
-    cuts = sorted({mid, *A.breakpoints_in(lo, hi)})
-    x_mid = None
-    t = lo
-    for cut in [*cuts, hi]:
-        if cut <= t:
-            continue
-        span = cut - t
-        n_steps = max(1, math.ceil(span / step_target - 1e-12))
-        h = span / n_steps
-        key = (h, A.piece_index(t))
-        R = cache.get(key)
-        if R is None:
-            R = _rk4_propagator(A.at(t), h)
-            cache[key] = R
-        for _ in range(n_steps):
-            X = R @ X
-        t = cut
-        if abs(t - mid) <= 1e-14 * max(1.0, abs(mid)):
-            x_mid = X.copy()
-    if x_mid is None:  # mid coincided with lo numerically
-        x_mid = X.copy()
-    return X, x_mid
+    n = A_mat.shape[0]
+    k = max(0, math.ceil(math.log2(max(2.0 * h * np.linalg.norm(A_mat, 2),
+                                       1.0))))
+    H = np.block([[-A_mat.T, M_mat], [np.zeros((n, n)), A_mat]])
+    E = expm(H * (h / 2 ** k))
+    phi = E[n:, n:]
+    K = phi.T @ E[:n, n:]
+    for _ in range(k):
+        K = K + phi.T @ K @ phi
+        phi = phi @ phi
+    return phi, 0.5 * (K + K.T)
+
+
+def _piece_maps(A_mat: np.ndarray, cost, a: float,
+                b: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """(F, K) across [a, b) under one constant A.
+
+    A time-varying cost (``CostMatrix.rule``) has no closed form; its K
+    falls back to Simpson's rule on the exact half-step maps, an
+    O(h^5)-per-interval quadrature of the smooth integrand.
+    """
+    h = b - a
+    if cost is None:
+        return expm(h * A_mat), None
+    if cost.is_constant:
+        return gramian_step_pair(A_mat, cost.constant, h)
+    E = expm(0.5 * h * A_mat)
+    F = E @ E
+    K = h / 6.0 * (cost.at(a) + 4.0 * E.T @ cost.at(0.5 * (a + b)) @ E
+                   + F.T @ cost.at(b) @ F)
+    return F, 0.5 * (K + K.T)
+
+
+def dense_maps(A: SystemMatrix, lo: float, hi: float,
+               cost=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact (F, K) across the dense stretch [lo, hi): one map per schedule
+    piece, composed in time order (K is None without a cost)."""
+    cuts = [lo, *A.breakpoints_in(lo, hi), hi]
+    F = np.eye(A.n)
+    K = None if cost is None else np.zeros((A.n, A.n))
+    for a, b in zip(cuts, cuts[1:]):
+        f, k = _piece_maps(A.at(a), cost, a, b)
+        if K is not None:
+            K = K + F.T @ k @ F
+        F = f @ F
+    return F, K
+
+
+def step_table(A: SystemMatrix, grid: Grid, cost=None) -> StepTable:
+    """The exact step map of every grid interval, plus its weighted
+    Gramian when ``cost`` (a CostMatrix) is given.
+
+    Jumps are built vectorized over all scattered points.  Dense intervals
+    fall into classes (step rounded to 1e-13, schedule piece) whose maps
+    are built once by :func:`dense_maps` and gathered by index; an interval
+    that straddles a breakpoint, and every dense interval under a
+    time-varying cost, is a class of its own.
+    """
+    lo, hi, mus = grid.times[:-1], grid.times[1:], grid.mus[:-1]
+    jump = mus > 0.0
+    F = np.empty((len(lo), A.n, A.n))
+    F[jump] = np.eye(A.n) + mus[jump, None, None] * A.stack_at(lo[jump])
+    K = None if cost is None else np.empty_like(F)
+    if K is not None:
+        K[jump] = mus[jump, None, None] * cost.stack_at(lo[jump])
+    dense = np.flatnonzero(~jump)
+    if len(dense):
+        piece = A.pieces_at(lo[dense])
+        own = piece != A.pieces_at(np.nextafter(hi[dense], -np.inf))
+        own |= cost is not None and not cost.is_constant
+        keys = np.column_stack([np.round(hi[dense] - lo[dense], 13),
+                                np.where(own, -1 - dense, piece)])
+        _, first, inv = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+        maps = [dense_maps(A, lo[j], hi[j], cost) for j in dense[first]]
+        F[dense] = np.stack([f for f, _ in maps])[inv.ravel()]
+        if K is not None:
+            K[dense] = np.stack([k for _, k in maps])[inv.ravel()]
+    return StepTable(F=F, K=K)
+
+
+def dense_stiffness(A: SystemMatrix, grid: Grid) -> float:
+    """Largest h * max|eig(A)| over the dense intervals of the grid (0 when
+    there are none): how coarsely the finite-difference stencils resolve
+    the flow."""
+    dense = np.flatnonzero(grid.mus[:-1] == 0.0)
+    h = grid.times[dense + 1] - grid.times[dense]
+    eigs = np.linalg.eigvals(A.stack_at(grid.times[dense]))
+    return float(np.max(h * np.abs(eigs).max(axis=1), initial=0.0))
 
 
 def sweep_transition(A: SystemMatrix, grid: Grid, base_index: int = 0,
-                     step_scale: float = 1.0) -> TransitionMatrix:
+                     table: StepTable | None = None) -> TransitionMatrix:
     """Forward sweep caching Phi(t, t_base) at every grid point >= base.
 
-    The dense RK4 step is min(dense_step, segment_length / 8) * step_scale.
-    Forward sweeping never inverts anything, so non-regressive systems are
-    handled (the sweep simply passes through a singular factor).
+    Applies the step maps of ``table`` (built from A when not given) in
+    grid order, so stack[i+1] = F[i] @ stack[i] exactly.  Forward sweeping
+    never inverts anything, so non-regressive systems are handled (the
+    sweep simply passes through a singular factor).
     """
-    G = len(grid)
+    if table is None:
+        table = step_table(A, grid)
     n = A.n
-    stack = np.full((G, n, n), np.nan)
-    mids: dict[int, np.ndarray] = {}
+    stack = np.full((len(grid), n, n), np.nan)
     stack[base_index] = np.eye(n)
-    X = np.eye(n)
-    step_used = grid.dense_step
-    cache: dict = {}
-    for i in range(base_index, G - 1):
-        t_i = float(grid.times[i])
-        m_i = float(grid.mus[i])
-        if m_i > 0.0:
-            X = (np.eye(n) + m_i * A.at(t_i)) @ X
-        else:
-            seg_len = float(grid.seg_hi[i] - grid.seg_lo[i])
-            step_target = step_scale * min(grid.dense_step, seg_len / 8.0)
-            step_used = min(step_used, step_target)
-            X, x_mid = _advance_dense(
-                A, X, t_i, float(grid.times[i + 1]), step_target, cache
-            )
-            mids[i] = x_mid
-        stack[i + 1] = X
-    return TransitionMatrix(
-        grid=grid, base_index=base_index, stack=stack, mids=mids,
-        step_target=step_used,
-    )
+    for i in range(base_index, len(grid) - 1):
+        np.matmul(table.F[i], stack[i], out=stack[i + 1])
+    return TransitionMatrix(grid=grid, base_index=base_index, stack=stack)
 
 
 def check_matrix_regressive(A: SystemMatrix, w: TimeScaleWindow,
@@ -275,18 +318,16 @@ def check_matrix_regressive(A: SystemMatrix, w: TimeScaleWindow,
     """
     if grid is None:
         grid = build_grid(w, dense_step=max((w.t_end - w.t0) / 64.0, 1e-6))
-    eye = np.eye(A.n)
-    bad = []
-    for t, m in zip(grid.times, grid.mus):
-        if m <= 0.0:
-            continue
-        B = eye + float(m) * A.at(float(t))
-        det = float(np.linalg.det(B))
-        scale = float(np.linalg.norm(B, "fro")) ** A.n
-        if abs(det) <= tol_reg * max(scale, 1e-300):
-            bad.append((float(t), det))
-    if bad:
-        return RegressivityClass("not_regressive", tuple(bad))
+    jump = grid.mus > 0.0
+    ts, ms = grid.times[jump], grid.mus[jump]
+    B = np.eye(A.n) + ms[:, None, None] * A.stack_at(ts)
+    det = np.linalg.det(B)
+    scale = np.linalg.norm(B, "fro", axis=(1, 2)) ** A.n
+    bad = np.abs(det) <= tol_reg * np.maximum(scale, 1e-300)
+    if bad.any():
+        return RegressivityClass(
+            "not_regressive", tuple(zip(ts[bad].tolist(), det[bad].tolist()))
+        )
     return RegressivityClass("regressive")
 
 
@@ -297,9 +338,9 @@ def transition(A: SystemMatrix, w: TimeScaleWindow, t0: float, t: float,
 
     Forward values (t >= t0) come from a cached sweep; t is allowed to lie
     between grid points inside a dense segment, in which case the sweep is
-    extended by a partial RK4 step.  Backward values (t < t0) are the
-    matrix inverse of the forward transition from t to t0, which requires
-    regressivity on [t, t0].
+    extended by the exact map of the partial interval.  Backward values
+    (t < t0) are the matrix inverse of the forward transition from t to t0,
+    which requires regressivity on [t, t0].
     """
     if grid is None:
         grid = build_grid(w, dense_step)
@@ -313,11 +354,8 @@ def transition(A: SystemMatrix, w: TimeScaleWindow, t0: float, t: float,
     phi_fwd = _value_at(tm, A, t0)
     try:
         inv = np.linalg.solve(phi_fwd, np.eye(A.n))
-    except np.linalg.LinAlgError as exc:
-        raise NotRegressive(
-            f"system is not regressive on [{t}, {t0}]; backward transition "
-            "undefined"
-        ) from exc
+    except np.linalg.LinAlgError:
+        inv = np.full((A.n, A.n), np.nan)
     if not np.all(np.isfinite(inv)):
         raise NotRegressive(
             f"system is not regressive on [{t}, {t0}]; backward transition "
@@ -336,11 +374,8 @@ def _value_at(tm: TransitionMatrix, A: SystemMatrix, t: float) -> np.ndarray:
     i = int(np.searchsorted(grid.times, t)) - 1
     if i < tm.base_index or grid.mus[i] > 0:
         raise NotInTimeScale(f"t = {t} not reachable on this grid")
-    seg_len = float(grid.seg_hi[i] - grid.seg_lo[i])
-    step_target = min(grid.dense_step, seg_len / 8.0)
-    X, _ = _advance_dense(A, tm.stack[i].copy(), float(grid.times[i]), t,
-                          step_target)
-    return X
+    F, _ = dense_maps(A, float(grid.times[i]), t)
+    return F @ tm.stack[i]
 
 
 def transition_inverse(tm: TransitionMatrix, t: float) -> np.ndarray:

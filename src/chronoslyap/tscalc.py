@@ -61,11 +61,6 @@ class ScalarSignal:
     def from_table(cls, grid: Grid, values: Sequence[float]) -> "ScalarSignal":
         return cls(grid=grid, table=np.asarray(values, dtype=float))
 
-    @property
-    def off_grid(self) -> bool:
-        """Whether the signal can be evaluated between grid points."""
-        return self.rule is not None
-
     def at_index(self, i: int) -> float:
         if self.table is not None:
             return float(self.table[i])

@@ -1,11 +1,12 @@
 """Trajectory simulation and empirical verification of Lyapunov conditions.
 
-Simulation reuses the cached transition sweep (exact scattered updates, RK4
-on dense segments).  Candidate certificates V(x) = x^T P(t) x are checked
-along trajectories two independent ways: the delta quotient of the sampled
-V values and the closed-form quadratic expansion with a numerically
-differentiated P; the two must agree, which exercises the whole derivative
-chain of the dynamic equation.
+Simulation reuses the cached transition sweep, which applies exact step
+maps (I + mu A across scattered points, expm(h A) across dense
+intervals).  Candidate certificates V(x) = x^T P(t) x are checked along
+trajectories two independent ways: the delta quotient of the sampled V
+values and the closed-form quadratic expansion with a numerically
+differentiated P; the two must agree, which exercises the whole
+derivative chain of the dynamic equation.
 """
 
 from __future__ import annotations
@@ -16,10 +17,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridMismatch, NonSymmetric, NotRegressive, SpotCheckFailed
-from .lyapunov import GramianSolution
+from .lyapunov import GramianSolution, dynamic_operator
 from .timescale import Grid, TimeScaleWindow, build_grid
 from .tscalc import ScalarSignal, exp_ts, stack_delta
-from .transition import SystemMatrix, check_matrix_regressive, sweep_transition
+from .transition import (
+    SystemMatrix,
+    check_matrix_regressive,
+    dense_stiffness,
+    sweep_transition,
+)
 
 #: Sign-test tolerance for the trace verdicts.
 TOL_SIGN = 1e-9
@@ -36,7 +42,7 @@ class Trajectory:
     system: SystemMatrix
     x0: np.ndarray
     states: np.ndarray  # (G, n)
-    method: str = "exact-scattered + RK4-dense"
+    method: str = "exact step maps (I + mu A jumps, expm dense)"
 
     @property
     def times(self) -> np.ndarray:
@@ -149,17 +155,7 @@ def lyapunov_trace(P: GramianSolution, traj: Trajectory,
     p_delta, valid_p = stack_delta(sub, Pv)
     valid = valid_v & valid_p
 
-    A = traj.system
-    n = A.n
-    if A.is_constant:
-        A_stack = np.broadcast_to(A.constant, (m, n, n))
-    else:
-        A_stack = np.stack([A.at(float(t)) for t in sub.times])
-    mus = sub.mus[:, None, None]
-    At = np.transpose(A_stack, (0, 2, 1))
-    L = np.eye(n) + mus * A_stack
-    Lt = np.transpose(L, (0, 2, 1))
-    Q = At @ Pv + Pv @ A_stack + mus * (At @ Pv @ A_stack) + Lt @ p_delta @ L
+    Q = dynamic_operator(sub, traj.system, Pv, p_delta)
     v_form = np.einsum("gi,gij,gj->g", X, Q, X)
 
     both = valid & (np.abs(v_delta) > 1e-12)
@@ -169,9 +165,12 @@ def lyapunov_trace(P: GramianSolution, traj: Trajectory,
     else:
         agreement = 0.0
     if agreement > agreement_tol:
+        stiffness = dense_stiffness(traj.system, sub)
         raise SpotCheckFailed(
             f"quotient and closed-form V^delta disagree by {agreement:.3e} "
-            f"relative (tolerance {agreement_tol:g})"
+            f"relative (tolerance {agreement_tol:g}); the finite-difference "
+            f"stencils see a largest dense step h*max|eig(A)| = "
+            f"{stiffness:.3g}, try a smaller dense_step"
         )
 
     thresh = TOL_SIGN * np.maximum(1.0, V)
