@@ -2,9 +2,10 @@
 
 Reads one config file per concern (time scale / system / cost), dispatches
 the solvers and analyses, and writes machine-readable CSV/JSON artifacts.
-Exit codes: 0 success, 1 failed reduction check, 2 validation error,
-3 numerical failure; numerical failures also leave an ``error.json`` with
-the error name in the output directory.
+Exit codes: 0 success, 1 failed reduction check, 2 validation error (bad
+input), 3 numerical failure, 4 internal error (any other exception, a bug);
+codes 2-4 also leave an ``error.json`` with the error name in the output
+directory.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -47,17 +48,7 @@ _VALIDATION_ERRORS = (
     err.NonSymmetric,
     json.JSONDecodeError,
     FileNotFoundError,
-    KeyError,
-    ValueError,
 )
-
-
-def _threads() -> int:
-    raw = os.environ.get("CHRONOSLYAP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fmt(x) -> str:
@@ -100,16 +91,18 @@ def load_window(path: str) -> TimeScaleWindow:
 
 def load_system(path: str) -> SystemMatrix:
     spec = _load_json(path)
-    n = int(spec["n"])
-    block = spec["A"]
-    if "constant" in block:
-        A = SystemMatrix.from_constant(np.asarray(block["constant"], float))
-    elif "schedule" in block:
-        times = [float(t) for t, _ in block["schedule"]]
-        mats = [np.asarray(m, float) for _, m in block["schedule"]]
-        A = SystemMatrix.from_schedule(times, np.stack(mats))
-    else:
-        raise err.InvalidParameter("system spec needs A.constant or A.schedule")
+    with err.malformed("system spec"):
+        n = int(spec["n"])
+        block = spec["A"]
+        if "constant" in block:
+            A = SystemMatrix.from_constant(np.asarray(block["constant"], float))
+        elif "schedule" in block:
+            times = [float(t) for t, _ in block["schedule"]]
+            mats = [np.asarray(m, float) for _, m in block["schedule"]]
+            A = SystemMatrix.from_schedule(times, np.stack(mats))
+        else:
+            raise err.InvalidParameter(
+                "system spec needs A.constant or A.schedule")
     if A.n != n:
         raise err.InvalidParameter(f"system spec says n = {n} but A is {A.n}x{A.n}")
     return A
@@ -145,27 +138,31 @@ def load_signal_csv(path: str, grid) -> "ScalarSignal":
 
 def load_cost(path: str) -> CostMatrix:
     spec = _load_json(path)
-    n = int(spec["n"])
-    block = spec["M"]
-    if "constant" not in block:
-        raise err.InvalidParameter("cost spec needs M.constant")
-    M = CostMatrix.from_constant(np.asarray(block["constant"], float))
+    with err.malformed("cost spec"):
+        n = int(spec["n"])
+        block = spec["M"]
+        if "constant" not in block:
+            raise err.InvalidParameter("cost spec needs M.constant")
+        M = CostMatrix.from_constant(np.asarray(block["constant"], float))
     if M.n != n:
         raise err.InvalidParameter(f"cost spec says n = {n} but M is {M.n}x{M.n}")
     return M
 
 
-def _load_initial(mode: str, n: int, w, A, M, dense_step: float,
-                  tail_tol: float) -> np.ndarray | None:
+def _load_initial(mode: str, n: int) -> np.ndarray | None:
     """P0 for the dynamic solves; None signals the stationary composition."""
     if mode == "zero":
         return np.zeros((n, n))
     if mode == "stationary":
         return None
-    if mode.startswith("file:"):
-        payload = _load_json(mode[5:])
-        return np.asarray(payload["P0"], dtype=float)
-    raise err.InvalidParameter(f"unknown --ic mode {mode!r}")
+    if not mode.startswith("file:"):
+        raise err.InvalidParameter(f"unknown --ic mode {mode!r}")
+    payload = _load_json(mode[5:])
+    with err.malformed("initial-matrix file"):
+        P0 = np.asarray(payload["P0"], dtype=float)
+    if P0.shape != (n, n):
+        raise err.InvalidParameter(f"P0 must be {n}x{n}")
+    return P0
 
 
 def _check_dims(A: SystemMatrix, M: CostMatrix) -> None:
@@ -175,18 +172,17 @@ def _check_dims(A: SystemMatrix, M: CostMatrix) -> None:
         )
 
 
+def _solution_header(n: int) -> list[str]:
+    """Columns of a per-point solution CSV: t, row-major P, diagnostics."""
+    return (["t"] + [f"P_{i}_{j}" for i in range(n) for j in range(n)]
+            + ["residual_norm", "min_eigenvalue"])
+
+
 def _gramian_rows(sol: GramianSolution) -> tuple[list[str], list[list]]:
-    n = sol.values.shape[1]
-    header = ["t"] + [f"P_{i}_{j}" for i in range(n) for j in range(n)]
-    header += ["residual_norm", "min_eigenvalue"]
-    mins = sol.min_eigenvalues()
-    rows = []
-    for k, t in enumerate(sol.times):
-        row = [t] + list(sol.values[k].reshape(-1)) + [
-            sol.residuals[k] if np.isfinite(sol.residuals[k]) else "nan",
-            mins[k],
-        ]
-        rows.append(row)
+    header = _solution_header(sol.values.shape[1])
+    rows = [[t, *P.reshape(-1), res if np.isfinite(res) else "nan", mineig]
+            for t, P, res, mineig in zip(sol.times, sol.values, sol.residuals,
+                                         sol.min_eigenvalues())]
     return header, rows
 
 
@@ -200,44 +196,34 @@ def _cmd_solve_tsale(args) -> int:
     _check_dims(A, M)
     grid = build_grid(w, args.dense_step)
     out = Path(args.out)
+    if len(grid) < 2:
+        raise err.InvalidParameter("solve-tsale needs at least two grid points")
 
     # pointwise family: one algebraic solve per grid point, with A and mu
     # frozen at that point; the window end has no forward graininess and is
-    # skipped.
-    idx = list(range(len(grid) - 1))
+    # skipped.  M is constant, so points sharing the schedule piece and mu
+    # share one solve and its formatted cells.
+    times = grid.times[:-1]
+    keys = zip(A.pieces_at(times).tolist(), grid.mus[:-1].tolist())
+    solved: dict = {}  # key -> (meta, residual, formatted cells)
+    rows = []
+    for t, key in zip(times.tolist(), keys):
+        if key not in solved:
+            A_t, M_t, mu_t = A.at(t), M.at(t), key[1]
+            meta: dict = {}
+            P = solve_tsale_pointwise(A_t, M_t, mu_t, meta=meta)
+            res = tsale_residual(A_t, P, M_t, mu_t)
+            cells = [*P.reshape(-1), res, np.linalg.eigvalsh(P)[0]]
+            solved[key] = (meta, res, ",".join(_fmt(c) for c in cells))
+        rows.append([t, solved[key][2]])
 
-    def solve_one(i: int):
-        t = float(grid.times[i])
-        mu_t = float(grid.mus[i])
-        meta: dict = {}
-        A_t = A.at(t)
-        P = solve_tsale_pointwise(A_t, M.at(t), mu_t, meta=meta)
-        res = tsale_residual(A_t, P, M.at(t), mu_t)
-        return t, P, res, float(np.linalg.eigvalsh(P)[0]), meta
-
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, idx))
-    else:
-        results = [solve_one(i) for i in idx]
-
-    n = A.n
-    header = ["t"] + [f"P_{i}_{j}" for i in range(n) for j in range(n)]
-    header += ["residual_norm", "min_eigenvalue"]
-    rows = [
-        [t] + list(P.reshape(-1)) + [res, mineig]
-        for t, P, res, mineig, _ in results
-    ]
-    _write_csv(out / "tsale.csv", header, rows)
+    _write_csv(out / "tsale.csv", _solution_header(A.n), rows)
     _write_json(out / "summary.json", {
         "equation": "TSALE",
-        "horizon": max(
-            (m.get("terms") or 0) for *_, m in results
-        ),
-        "tail_bound": max(float(m.get("tail") or 0.0) for *_, m in results),
-        "max_residual": max(r for _, _, r, _, _ in results),
-        "points": len(results),
+        "horizon": max((m["terms"] or 0) for m, _, _ in solved.values()),
+        "tail_bound": max(float(m["tail"]) for m, _, _ in solved.values()),
+        "max_residual": max(res for _, res, _ in solved.values()),
+        "points": len(rows),
         "time_scale": window_to_spec(w),
     })
     return 0
@@ -249,7 +235,7 @@ def _cmd_solve_tsdle(args) -> int:
     M = load_cost(args.cost)
     _check_dims(A, M)
     out = Path(args.out)
-    P0 = _load_initial(args.ic, A.n, w, A, M, args.dense_step, args.tail_tol)
+    P0 = _load_initial(args.ic, A.n)
     if P0 is None:
         sol = solve_tsdle_stationary(A, M, w, w.t0, tail_tol=args.tail_tol,
                                      dense_step=args.dense_step)
@@ -328,7 +314,8 @@ def _cmd_stability(args) -> int:
 
 
 def _parse_x0(raw: str, n: int) -> np.ndarray:
-    x0 = np.asarray([float(v) for v in raw.split(",")], dtype=float)
+    with err.malformed("--x0"):
+        x0 = np.asarray([float(v) for v in raw.split(",")], dtype=float)
     if x0.shape != (n,):
         raise err.InvalidParameter(f"--x0 must have {n} components")
     return x0
@@ -396,14 +383,12 @@ def reduce_discrepancies(w_r: TimeScaleWindow, w_z: TimeScaleWindow,
     frac = 0.5 if ic_mode == "stationary" else 1.0
 
     def initial(w):
-        if ic_mode == "zero":
-            return np.zeros((A.n, A.n))
-        if ic_mode == "stationary":
+        P0 = _load_initial(ic_mode, A.n)
+        if P0 is None:
             return stationary_initial_condition(
                 A, M, w, w.t0, tail_tol=tail_tol, dense_step=dense_step
             )
-        payload = _load_json(ic_mode[5:])
-        return np.asarray(payload["P0"], dtype=float)
+        return P0
 
     P0r = initial(w_r)
     sol_r = solve_tsdle(A, M, P0r, w_r, w_r.t0, dense_step=dense_step)
@@ -525,6 +510,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(out_dir: Path, exc: Exception, kind: str, code: int) -> int:
+    print(f"{kind}: {exc}", file=sys.stderr)
+    try:
+        _write_json(out_dir / "error.json",
+                    {"error": type(exc).__name__, "message": str(exc)})
+    except OSError:
+        pass
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -533,21 +528,12 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(f"validation error: {exc}", file=sys.stderr)
-        try:
-            _write_json(out_dir / "error.json", payload)
-        except OSError:
-            pass
-        return 2
+        return _fail(out_dir, exc, "validation error", 2)
     except err.ChronosLyapError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        try:
-            _write_json(out_dir / "error.json", payload)
-        except OSError:
-            pass
-        return 3
+        return _fail(out_dir, exc, "numerical failure", 3)
+    except Exception as exc:  # a bug, not bad input: keep the traceback
+        traceback.print_exc()
+        return _fail(out_dir, exc, "internal error", 4)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ Every failure mode that a caller might want to handle programmatically gets
 its own class; the CLI maps class names onto machine-readable error reports.
 """
 
+from contextlib import contextmanager
+
 
 class ChronosLyapError(Exception):
     """Base class for all library errors."""
@@ -19,6 +21,16 @@ class EmptyWindow(ChronosLyapError):
 
 class InvalidParameter(ChronosLyapError):
     """A structural parameter is out of its documented range."""
+
+
+@contextmanager
+def malformed(what: str):
+    """Report the KeyError, IndexError, TypeError or ValueError raised while
+    parsing outside input (a spec or a flag) as InvalidParameter."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"malformed {what}: {exc!r}") from exc
 
 
 class WindowExhausted(ChronosLyapError):

@@ -4,8 +4,10 @@ The algebraic family, for constant graininess mu:
 
     A^T P + P A + mu A^T P A = -M
 
-solved pointwise by a convergent series (mu > 0) or a dense Kronecker
-solve (mu = 0), with independent Kronecker/Stein oracles for verification.
+solved pointwise by Bartels-Stewart (mu = 0) or, for mu > 0, as the Stein
+equation B^T P B - P = -mu M with B = I + mu A by Smith doubling, which
+stops on a true bound of the truncated tail.  Independent dense
+Kronecker/Stein oracles exist for verification only.
 
 The dynamic family, on an arbitrary window:
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     InvalidParameter,
@@ -60,7 +62,7 @@ from .transition import (
     sweep_transition,
 )
 
-#: Relative truncation tolerance of the algebraic series.
+#: Relative tail bound at which the algebraic series stops.
 SERIES_TOL = 1e-10
 
 #: Relative tail tolerance of windowed improper delta-integrals.
@@ -117,8 +119,9 @@ class CostMatrix:
 class SeedDomain:
     """Integration domain of one pointwise algebraic solve: the uniform
     step lattice of width mu when mu > 0, the continuous half-line when
-    mu = 0.  ``horizon`` records the truncation actually used (series
-    terms, or None for the exact continuous solve)."""
+    mu = 0.  ``horizon`` records the truncation actually used (the series
+    terms summed, 2^k after k doublings, or None for the exact continuous
+    solve)."""
 
     mu: float
     horizon: int | None = None
@@ -211,10 +214,15 @@ def solve_tsale_pointwise(A, M, mu: float, horizon_tol: float = SERIES_TOL,
                           meta: dict | None = None) -> np.ndarray:
     """Solve A^T P + P A + mu A^T P A = -M for one graininess value.
 
-    mu > 0: the convergent series P = mu * sum_j (B^T)^j M B^j with
-    B = I + mu A, truncated when the term norm falls below
-    ``horizon_tol * ||M||`` (the geometric tail bound goes into ``meta``).
-    mu = 0: the dense Kronecker solve of A^T P + P A = -M.
+    mu = 0: the continuous Lyapunov equation, by Bartels-Stewart.
+    mu > 0: the Stein equation B^T P B - P = -mu M, B = I + mu A, whose
+    solution is the series P = mu * sum_j (B^T)^j M B^j.  Smith doubling
+    sums its first 2^k terms as S <- S + X^T S X, X <- X X (X = B^(2^k)).
+    Since P - S = X^T P X, q = ||X||_F^2 < 1 bounds the tail by
+    q ||S|| / (1 - q) (Frobenius); the sum stops once that bound is at most
+    ``horizon_tol * ||S||`` and records it as ``meta["tail"]``, with
+    ``meta["terms"] = 2^k``.  SeriesNotConverged when ``max_terms`` terms
+    are summed first.
 
     Raises UnstableSpectrum when an eigenvalue of A lies outside the open
     Hilger disk for mu, NonSymmetricM for an asymmetric M.
@@ -233,100 +241,89 @@ def solve_tsale_pointwise(A, M, mu: float, horizon_tol: float = SERIES_TOL,
         )
 
     if mu == 0.0:
-        P = _kronecker_cale(A, M)
+        P = solve_continuous_lyapunov(A.T, -M)
         if meta is not None:
-            meta.update({"method": "kronecker", "terms": None, "tail": 0.0,
-                         "domain": SeedDomain(mu=0.0)})
+            meta.update({"method": "bartels-stewart", "terms": None,
+                         "tail": 0.0, "domain": SeedDomain(mu=0.0)})
         return _symmetrize_checked(P)
 
-    B = np.eye(n) + mu * A
-    Bt = B.T
-    norm_m = float(np.linalg.norm(M, "fro"))
-    term = M.copy()
-    P = mu * M.copy()
-    tail = 0.0
-    prev_norm = norm_m
-    for j in range(1, max_terms + 1):
-        term = Bt @ term @ B
-        P += mu * term
-        tn = float(np.linalg.norm(term, "fro"))
-        if tn <= horizon_tol * norm_m:
-            ratio = tn / prev_norm if prev_norm > 0 else 0.0
-            tail = mu * tn * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    X = np.eye(n) + mu * A
+    P = mu * M
+    terms = 1
+    while True:
+        q = float(np.vdot(X, X))
+        norm_p = float(np.linalg.norm(P, "fro"))
+        tail = q * norm_p / (1.0 - q) if q < 1.0 else math.inf
+        if tail <= horizon_tol * norm_p:
             break
-        prev_norm = tn
-    else:
-        raise SeriesNotConverged(
-            f"series did not reach {horizon_tol:g} * ||M|| within "
-            f"{max_terms} terms"
-        )
+        if 2 * terms > max_terms:
+            raise SeriesNotConverged(
+                f"series tail bound {tail:.3e} is above {horizon_tol:g} * "
+                f"||P|| after {terms} terms (max_terms = {max_terms})"
+            )
+        P = P + X.T @ P @ X
+        X = X @ X
+        terms *= 2
     if meta is not None:
-        meta.update({"method": "series", "terms": j + 1, "tail": tail,
-                     "domain": SeedDomain(mu=mu, horizon=j + 1)})
+        meta.update({"method": "series", "terms": terms, "tail": tail,
+                     "domain": SeedDomain(mu=mu, horizon=terms)})
     return _symmetrize_checked(P)
 
 
-def _kronecker_cale(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _oracle_inputs(A, M) -> tuple[np.ndarray, np.ndarray, int]:
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    _require_symmetric(M, NonSymmetricM, what="M")
     n = A.shape[0]
     if n > MAX_DENSE_DIM:
         raise InvalidParameter(
             f"dense Kronecker solve capped at n <= {MAX_DENSE_DIM}"
         )
-    eye = np.eye(n)
-    L = np.kron(eye, A.T) + np.kron(A.T, eye)
+    return A, M, n
+
+
+def _kronecker_solve(L: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """The n x n matrix X with L vec(X) = vec(rhs), column-major vec."""
+    n = rhs.shape[0]
     try:
-        vec = np.linalg.solve(L, -M.flatten(order="F"))
+        vec = np.linalg.solve(L, rhs.flatten(order="F"))
     except np.linalg.LinAlgError as exc:
-        raise SingularKroneckerSystem(
-            "Kronecker system of the algebraic solve is singular"
-        ) from exc
-    return vec.reshape((n, n), order="F")
+        raise SingularKroneckerSystem(f"{what} system is singular") from exc
+    return _symmetrize_checked(vec.reshape((n, n), order="F"))
 
 
 def solve_cale_oracle(A, M) -> np.ndarray:
     """Dense Kronecker oracle for A^T P + P A = -M.
 
-    Exists for verification of the series/integral paths, not production;
+    Exists for verification of the production solvers, not production;
     O(n^6) and capped at n <= 12.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    _require_symmetric(M, NonSymmetricM, what="M")
+    A, M, n = _oracle_inputs(A, M)
     lam = np.linalg.eigvals(A)
     if np.any(np.abs(lam[:, None] + lam[None, :].conj()) < 1e-12):
         raise SingularKroneckerSystem(
             "spectra of A and -A^T intersect; the Kronecker system is "
             "singular"
         )
-    return _symmetrize_checked(_kronecker_cale(A, M))
+    eye = np.eye(n)
+    return _kronecker_solve(np.kron(eye, A.T) + np.kron(A.T, eye), -M,
+                            "Kronecker")
 
 
 def solve_dale_oracle(A, M) -> np.ndarray:
     """Dense Kronecker/Stein oracle for A_R^T P A_R - P = -M, A_R = A + I.
 
     Requires the spectral radius of A_R to be strictly below one; equals
-    the series sum_j (A_R^T)^j M A_R^j.
+    the series sum_j (A_R^T)^j M A_R^j.  O(n^6) and capped at n <= 12.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    _require_symmetric(M, NonSymmetricM, what="M")
-    n = A.shape[0]
-    if n > MAX_DENSE_DIM:
-        raise InvalidParameter(
-            f"dense Kronecker solve capped at n <= {MAX_DENSE_DIM}"
-        )
+    A, M, n = _oracle_inputs(A, M)
     Ar = A + np.eye(n)
     rho = float(np.max(np.abs(np.linalg.eigvals(Ar))))
     if rho >= 1.0 - 1e-12:
         raise SpectralRadiusNotLessThanOne(
             f"spectral radius of A + I is {rho:.6f} >= 1"
         )
-    L = np.eye(n * n) - np.kron(Ar.T, Ar.T)
-    try:
-        vec = np.linalg.solve(L, M.flatten(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularKroneckerSystem("Stein system is singular") from exc
-    return _symmetrize_checked(vec.reshape((n, n), order="F"))
+    return _kronecker_solve(np.eye(n * n) - np.kron(Ar.T, Ar.T), M, "Stein")
 
 
 # -- shared dynamic machinery -------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyWindow, InvalidParameter, NotInTimeScale
+from .errors import EmptyWindow, InvalidParameter, NotInTimeScale, malformed
 
 #: Absolute tolerance for membership tests and grid snapping.
 TOL_MEMBER = 1e-12
@@ -270,28 +270,31 @@ def make_canonical(
 
 
 def window_from_spec(spec: dict) -> TimeScaleWindow:
-    """Parse the structured time-scale description (see ``window_to_spec``)."""
-    if "kind" not in spec:
-        raise InvalidParameter("time-scale spec needs a 'kind' field")
-    kind = spec["kind"]
-    if kind == "explicit":
-        segs = spec.get("segments")
-        if not segs:
-            raise InvalidParameter("explicit spec needs nonempty 'segments'")
-        return TimeScaleWindow(
-            tuple((float(a), float(b)) for a, b in segs),
-            spec={"kind": "explicit",
-                  "segments": [[float(a), float(b)] for a, b in segs]},
-        )
-    if kind not in _CANONICAL_KINDS:
-        raise InvalidParameter(f"unknown time-scale kind {kind!r}")
-    if "window" not in spec:
-        raise InvalidParameter("canonical time-scale spec needs 'window'")
-    kwargs = {}
-    for key in ("h", "q", "a", "b", "min_spacing"):
-        if key in spec:
-            kwargs[key] = float(spec[key])
-    return make_canonical(kind, tuple(spec["window"]), **kwargs)
+    """Parse the structured time-scale description (see ``window_to_spec``);
+    malformed entries raise InvalidParameter."""
+    with malformed("time-scale spec"):
+        if "kind" not in spec:
+            raise InvalidParameter("time-scale spec needs a 'kind' field")
+        kind = spec["kind"]
+        if kind == "explicit":
+            segs = spec.get("segments")
+            if not segs:
+                raise InvalidParameter(
+                    "explicit spec needs nonempty 'segments'")
+            return TimeScaleWindow(
+                tuple((float(a), float(b)) for a, b in segs),
+                spec={"kind": "explicit",
+                      "segments": [[float(a), float(b)] for a, b in segs]},
+            )
+        if kind not in _CANONICAL_KINDS:
+            raise InvalidParameter(f"unknown time-scale kind {kind!r}")
+        if "window" not in spec:
+            raise InvalidParameter("canonical time-scale spec needs 'window'")
+        kwargs = {}
+        for key in ("h", "q", "a", "b", "min_spacing"):
+            if key in spec:
+                kwargs[key] = float(spec[key])
+        return make_canonical(kind, tuple(spec["window"]), **kwargs)
 
 
 def window_to_spec(w: TimeScaleWindow) -> dict:
@@ -347,8 +350,8 @@ class Grid:
 
 def build_grid(w: TimeScaleWindow, dense_step: float) -> Grid:
     """Discretize ``w`` with dense sub-steps of at most ``dense_step``."""
-    if not (dense_step > 0):
-        raise InvalidParameter("dense_step must be > 0")
+    if not (0 < dense_step < math.inf):
+        raise InvalidParameter("dense_step must be finite and > 0")
     times: list[float] = []
     mus: list[float] = []
     seg_index: list[int] = []

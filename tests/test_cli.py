@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from chronoslyap import cli
 from chronoslyap.cli import main
 
 
@@ -93,6 +95,104 @@ class TestSolveTsale:
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "tsale.csv").read_bytes() == \
             (out2 / "tsale.csv").read_bytes()
+
+
+class TestSolveTsaleMemo:
+    SCHEDULE = [[0.0, [[-1.0, 0.3], [0.0, -2.0]]],
+                [2.2, [[-0.5, 0.0], [0.2, -0.7]]],
+                [4.0, [[-1.5, -0.4], [0.4, -1.0]]]]
+    M = [[1.0, 0.1], [0.1, 2.0]]
+
+    def test_one_solve_per_piece_and_graininess(self, tmp_path, monkeypatch):
+        from chronoslyap import build_grid, tsale_residual, window_from_spec
+
+        ts = {"kind": "pulse", "a": 1.0, "b": 0.5, "window": [0.0, 6.0]}
+        files = [write_spec(tmp_path / "ts.json", ts),
+                 write_spec(tmp_path / "a.json",
+                            {"n": 2, "A": {"schedule": self.SCHEDULE}}),
+                 write_spec(tmp_path / "m.json",
+                            {"n": 2, "M": {"constant": self.M}})]
+        solve = cli.solve_tsale_pointwise
+        seen = []
+
+        def counting(A, M, mu, **kwargs):
+            seen.append((np.asarray(A).tobytes(), mu))
+            return solve(A, M, mu, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_tsale_pointwise", counting)
+        out = tmp_path / "out"
+        assert main(["solve-tsale", "--ts", files[0], "--system", files[1],
+                     "--cost", files[2], "--out", str(out)]) == 0
+
+        # every point solved on its own, then formatted
+        grid = build_grid(window_from_spec(ts), 0.01)
+        starts = [t for t, _ in self.SCHEDULE]
+        M = np.array(self.M)
+        lines = ["t,P_0_0,P_0_1,P_1_0,P_1_1,residual_norm,min_eigenvalue"]
+        keys = set()
+        for t, mu in zip(grid.times[:-1].tolist(), grid.mus[:-1].tolist()):
+            piece = max(i for i, s in enumerate(starts) if s <= t)
+            A = np.array(self.SCHEDULE[piece][1])
+            P = solve(A, M, mu)
+            cells = [t, *P.reshape(-1), tsale_residual(A, P, M, mu),
+                     np.linalg.eigvalsh(P)[0]]
+            lines.append(",".join(cli._fmt(c) for c in cells))
+            keys.add((piece, mu))
+        assert (out / "tsale.csv").read_bytes() == \
+            ("\n".join(lines) + "\n").encode()
+        assert len(seen) == len(set(seen)) == len(keys) == 6
+        assert len(lines) - 1 > 60 * len(keys)
+
+
+class TestExitCodes:
+    def test_solver_bug_is_an_internal_error(self, specs, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "solve_tsale_pointwise", broken)
+        out = specs["dir"] / "out_bug"
+        rc = main(["solve-tsale", "--ts", specs["z"], "--system",
+                   specs["a_half"], "--cost", specs["one"],
+                   "--out", str(out)])
+        assert rc == 4
+        assert json.loads((out / "error.json").read_text())["error"] == \
+            "KeyError"
+
+    @pytest.mark.parametrize("which, payload", [
+        ("system", {"n": 1}),
+        ("system", {"n": 1, "A": {"constant": [["x"]]}}),
+        ("system", {"n": 1, "A": {"schedule": [[0.0]]}}),
+        ("cost", {"n": 1, "M": {"constant": [[1.0], [2.0, 3.0]]}}),
+        ("ts", {"kind": "integers", "window": [0]}),
+        ("ts", {"kind": "pulse", "a": "wide", "b": 1, "window": [0, 4]}),
+        ("ts", {"kind": "integers", "window": [3, 3]}),  # no row to solve
+    ])
+    def test_malformed_spec_is_a_validation_error(self, specs, tmp_path,
+                                                  which, payload):
+        files = {"ts": specs["z"], "system": specs["a_half"],
+                 "cost": specs["one"]}
+        files[which] = write_spec(tmp_path / "bad.json", payload)
+        out = tmp_path / "out"
+        rc = main(["solve-tsale", "--ts", files["ts"], "--system",
+                   files["system"], "--cost", files["cost"],
+                   "--out", str(out)])
+        assert rc == 2
+        assert json.loads((out / "error.json").read_text())["error"] == \
+            "InvalidParameter"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--x0", "1,a"],
+        ["solve-tsdle", "--cost", "ONE", "--ic", "file:P0"],
+        ["solve-tsale", "--cost", "ONE", "--dense-step", "inf"],
+    ])
+    def test_malformed_flag_is_a_validation_error(self, specs, tmp_path,
+                                                  argv):
+        p0 = write_spec(tmp_path / "p0.json", {"P0": [[1.0, 0.0]]})
+        argv = [a.replace("ONE", specs["one"]).replace("P0", p0)
+                for a in argv]
+        rc = main(argv + ["--ts", specs["z"], "--system", specs["a_half"],
+                          "--out", str(tmp_path / "out")])
+        assert rc == 2
 
 
 class TestSolveTsdle:
@@ -258,4 +358,4 @@ class TestFormatting:
               specs["a_half"], "--cost", specs["one"], "--out", str(out)])
         text = (out / "tsale.csv").read_text()
         assert "\r" not in text
-        assert "1.3333333333139308" in text
+        assert "1.3333333333333333" in text

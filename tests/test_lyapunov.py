@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from chronoslyap import (
@@ -23,11 +25,17 @@ from chronoslyap.errors import (
     NonSymmetricInput,
     NonSymmetricM,
     NotRegressive,
+    SeriesNotConverged,
     SpectralRadiusNotLessThanOne,
     UnstableSpectrum,
     WindowTooShort,
 )
-from conftest import random_hilger_stable, random_hurwitz, random_spd
+from conftest import (
+    random_hilger_stable,
+    random_hurwitz,
+    random_orthogonal,
+    random_spd,
+)
 
 
 class TestAlgebraicPointwise:
@@ -85,6 +93,72 @@ class TestAlgebraicPointwise:
         from chronoslyap import is_positive_definite
 
         assert not is_positive_definite(M)
+
+
+def _rel(P, want):
+    return float(np.linalg.norm(P - want, "fro") / np.linalg.norm(want, "fro"))
+
+
+@st.composite
+def algebraic_cases(draw):
+    """(A, M, mu) with n <= 8, mu in {0} or (0, 1] and a non-normal A whose
+    spectrum lies inside the Hilger region for mu."""
+    n = draw(st.integers(1, 8))
+    mu = draw(st.just(0.0) | st.floats(1e-6, 1.0))
+    shear = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    q = random_orthogonal(rng, n)
+    upper = shear * np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+    if mu == 0.0:
+        A = q @ (np.diag(-rng.uniform(0.2, 2.0, size=n)) + upper) @ q.T
+    else:  # Schur form of B = I + mu A, eigenvalues in (-0.9, 0.9)
+        B = q @ (np.diag(rng.uniform(-0.9, 0.9, size=n)) + upper) @ q.T
+        A = (B - np.eye(n)) / mu
+    return A, random_spd(rng, n), mu
+
+
+class TestProductionAlgebraic:
+    @settings(max_examples=60, deadline=None)
+    @given(algebraic_cases())
+    def test_matches_kronecker_oracles(self, case):
+        A, M, mu = case
+        P = solve_tsale_pointwise(A, M, mu)
+        want = (solve_cale_oracle(A, M) if mu == 0.0
+                else solve_dale_oracle(mu * A, mu * M))
+        assert _rel(P, want) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_tail_bounds_the_gap_under_transient_growth(self, tol):
+        mu = 0.5
+        B = np.array([[0.6, 8.0], [0.0, 0.6]])  # ||B^k|| peaks near 13
+        A, M = (B - np.eye(2)) / mu, np.eye(2)
+        meta = {}
+        P = solve_tsale_pointwise(A, M, mu, horizon_tol=tol, meta=meta)
+        gap = float(np.linalg.norm(solve_dale_oracle(mu * A, mu * M) - P,
+                                   "fro"))
+        assert 0.0 < gap <= meta["tail"]
+        assert meta["tail"] <= tol * np.linalg.norm(P, "fro")
+        assert meta["terms"] & (meta["terms"] - 1) == 0  # a power of two
+
+    def test_continuous_beyond_the_oracle_cap(self, rng):
+        n = 20
+        A = random_hurwitz(rng, n) + np.triu(rng.normal(size=(n, n)), 1) / n
+        M = random_spd(rng, n)
+        meta = {}
+        P = solve_tsale_pointwise(A, M, 0.0, meta=meta)
+        res = np.linalg.norm(A.T @ P + P @ A + M, "fro")
+        assert res <= 1e-10 * np.linalg.norm(M, "fro")
+        assert meta["method"] == "bartels-stewart"
+        with pytest.raises(InvalidParameter):
+            solve_cale_oracle(A, M)
+
+    def test_term_cap(self):
+        # B = 1/2 needs 32 terms for a tail below 1e-10 relative
+        with pytest.raises(SeriesNotConverged):
+            solve_tsale_pointwise([[-0.5]], [[1.0]], 1.0, max_terms=16)
+        meta = {}
+        solve_tsale_pointwise([[-0.5]], [[1.0]], 1.0, max_terms=32, meta=meta)
+        assert meta["terms"] == 32
 
 
 class TestOracles:
