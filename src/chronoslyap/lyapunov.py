@@ -21,8 +21,11 @@ it tolerates non-regressive systems (whose forward flow may be singular).
 
 All sweeps of one solve read a single exact step table
 (:func:`~chronoslyap.transition.step_table`): the forward transition, the
-cumulative Gramian and the backward Gramian sweep.  The stationary spot
-checks recompute sub-window values without that table.
+cumulative Gramian and the backward Gramian sweep.  The forward transition
+and the backward Gramian are prefix scans over the table, the cumulative
+Gramian a cumulative sum, and the transport one batched solve.  The
+stationary spot checks recompute sub-window values sequentially and
+without that table.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .transition import (
     check_matrix_regressive,
     dense_stiffness,
     gramian_step_pair,
+    scan_maps,
     step_table,
     sweep_transition,
 )
@@ -176,6 +180,23 @@ def _symmetrize_checked(P: np.ndarray, what: str = "solution") -> np.ndarray:
             f"{what} asymmetry {drift:.3e} exceeds {SYM_DRIFT:g} * norm"
         )
     return 0.5 * (P + P.T)
+
+
+def _symmetrize_stack_checked(P: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """:func:`_symmetrize_checked` over a (G, n, n) stack in one batch (kept
+    apart so that the single-matrix check of the pointwise solves stays
+    cheap); the error names the first offending time."""
+    PT = np.swapaxes(P, 1, 2)
+    drift = np.linalg.norm(P - PT, axis=(1, 2))
+    bad = drift > SYM_DRIFT * np.maximum(np.linalg.norm(P, axis=(1, 2)),
+                                         1e-300)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SymmetryDriftExceeded(
+            f"solution asymmetry {drift[i]:.3e} at t = {times[i]:g} exceeds "
+            f"{SYM_DRIFT:g} * norm"
+        )
+    return 0.5 * (P + PT)
 
 
 def _as_system(A) -> SystemMatrix:
@@ -411,12 +432,9 @@ def solve_tsdle(A, M, P0, w: TimeScaleWindow, t0: float,
     table = step_table(A, grid, M)
     tm = sweep_transition(A, grid, table=table)
     K, _ = _cumulative_gramian(M, grid, tm, table)
-    G, n = len(grid), A.n
-    P_stack = np.empty((G, n, n))
-    P_stack[0] = _symmetrize_checked(P0)
-    for i in range(1, G):
-        inv = tm.inverse_at_index(i)
-        P_stack[i] = _symmetrize_checked(inv.T @ (P0 - K[i]) @ inv)
+    inv = tm.inverses()
+    P_stack = _symmetrize_stack_checked(
+        np.swapaxes(inv, 1, 2) @ (P0 - K) @ inv, grid.times)
     residuals = _residual_stack(grid, A, M, P_stack)
     meta = {
         "equation": "TSDLE",
@@ -458,9 +476,10 @@ def _stationary_ic_with_info(A: SystemMatrix, M: CostMatrix, grid: Grid,
     info["decay_slope"] = slope
     if slope >= -1e-12:
         raise NoDecayDetected(
-            f"integrand envelope does not decay on the window "
-            f"(fitted rate {slope:.3e}); the spectrum is not stable for "
-            "this time scale"
+            f"integrand envelope does not decay on the window: fitted rate "
+            f"{slope:.3e} over a window of length {span:g}; either the "
+            "spectrum is not stable for this time scale or the window is "
+            "too short to show decay"
         )
     late = ts >= ts[-1] - 0.1 * span
     env_late = float(env[late].max())
@@ -500,14 +519,16 @@ def stationary_initial_condition(A, M, w: TimeScaleWindow, t0: float,
 def _backward_gramian_sweep(table: StepTable) -> np.ndarray:
     """P(t_i) = integral over [t_i, t_end) of Phi^T(s, t_i) M(s) Phi(s, t_i),
     by the backward recursion P_i = F_i^T P_{i+1} F_i + K_i over the step
-    table, which never inverts a transition matrix."""
+    table, which never inverts a transition matrix.
+
+    The recursion composes the maps X -> F_i^T X F_i + K_i from the end of
+    the window, so it is one prefix scan over the reversed table with
+    B = F^T (:func:`~chronoslyap.transition.scan_maps`).
+    """
     F, K = table.F, table.K
-    G, n = len(F) + 1, F.shape[1]
-    P = np.zeros((G, n, n))
-    for i in range(G - 2, -1, -1):
-        Pi = F[i].T @ P[i + 1] @ F[i] + K[i]
-        P[i] = 0.5 * (Pi + Pi.T)
-    return P
+    P = np.zeros((len(F) + 1, *F.shape[1:]))
+    P[-2::-1] = scan_maps(np.swapaxes(F[::-1], 1, 2), K[::-1])[1]
+    return 0.5 * (P + np.swapaxes(P, 1, 2))
 
 
 def _tail_gramians(A: SystemMatrix, M: np.ndarray, w: TimeScaleWindow,

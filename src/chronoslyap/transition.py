@@ -8,8 +8,11 @@ across a scattered point and X <- expm(h A) X across a dense interval
 builds these maps once per distinct interval class and gathers them by
 index; given a cost M it also holds each interval's weighted Gramian, from
 Van Loan's block exponential.  The forward sweep here and the Gramian
-sweeps of the Lyapunov solvers all consume one table.  Inverses are
-computed lazily by LU solve with a condition-number estimate.
+sweeps of the Lyapunov solvers all consume one table.  The transition is
+the prefix product of the step maps and the backward Gramian a prefix
+composition of affine maps; :func:`scan_maps` computes both by one
+odd-even scan.  Inverses are computed by LU solve with a condition-number
+estimate, lazily per point or for the whole sweep in one batch.
 """
 
 from __future__ import annotations
@@ -172,6 +175,35 @@ class TransitionMatrix:
             self._inv_cache[i] = inv
         return self._inv_cache[i]
 
+    def inverses(self) -> np.ndarray:
+        """Phi^{-1} at every grid point from the base on, by one batched LU
+        solve.  SingularTransition names the first singular time; one
+        RuntimeWarning reports the largest condition number above
+        COND_WARN."""
+        phi = self.stack[self.base_index:]
+        try:
+            inv = np.linalg.solve(phi, np.eye(phi.shape[-1]))
+            bad = ~np.isfinite(inv).all(axis=(1, 2))
+        except np.linalg.LinAlgError:
+            bad = np.linalg.slogdet(phi)[0] == 0.0  # a zero LU pivot
+        if bad.any():
+            t = self.grid.times[self.base_index + int(np.argmax(bad))]
+            raise SingularTransition(
+                f"transition matrix at t = {t} is singular (regressivity "
+                "violated)"
+            )
+        cond = np.linalg.cond(phi)
+        worst = int(np.argmax(cond))
+        if cond[worst] > COND_WARN:
+            warnings.warn(
+                f"transition matrix at t = "
+                f"{self.grid.times[self.base_index + worst]} has condition "
+                f"number {cond[worst]:.3e}, the largest on the grid",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return inv
+
 
 @dataclass(frozen=True, eq=False)
 class StepTable:
@@ -287,22 +319,57 @@ def dense_stiffness(A: SystemMatrix, grid: Grid) -> float:
     return float(np.max(h * np.abs(eigs).max(axis=1), initial=0.0))
 
 
+def scan_maps(*maps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Prefix compositions of the maps X -> B_i X B_i^T + K_i, applied in
+    index order, for ``maps = (B, K)``: C_i = B_i ... B_0 and
+    S_i = B_i S_{i-1} B_i^T + K_i (S_{-1} = 0).  ``maps = (B,)`` forms the
+    products C alone.  Returns (C,) or (C, S), stacks shaped like the input.
+
+    Composition is associative, so this is a work-efficient odd-even scan
+    (Blelloch 1990): compose each adjacent pair, scan the half-length
+    sequence, then fill in the even entries; every step is one batched
+    matmul over an (m/2, n, n) stack.  The association order differs from
+    sequential application, so values move at the rounding level.
+    """
+    m = len(maps[0])
+    if m < 2:
+        return tuple(x.copy() for x in maps)
+    pairs = m - m % 2
+    half = scan_maps(*_compose([x[1:pairs:2] for x in maps],
+                               [x[0:pairs:2] for x in maps]))
+    evens = [x[2::2] for x in maps]
+    evens = _compose(evens, [x[: len(evens[0])] for x in half])
+    out = tuple(np.empty_like(x) for x in maps)
+    for o, x, x_half, x_even in zip(out, maps, half, evens):
+        o[0], o[1::2], o[2::2] = x[0], x_half, x_even
+    return out
+
+
+def _compose(late, early) -> tuple[np.ndarray, ...]:
+    """The maps ``late`` applied after ``early``, elementwise:
+    (B_l B_e, B_l K_e B_l^T + K_l), or the product alone."""
+    B = late[0]
+    if len(late) == 1:
+        return (B @ early[0],)
+    return B @ early[0], B @ early[1] @ np.swapaxes(B, 1, 2) + late[1]
+
+
 def sweep_transition(A: SystemMatrix, grid: Grid, base_index: int = 0,
                      table: StepTable | None = None) -> TransitionMatrix:
     """Forward sweep caching Phi(t, t_base) at every grid point >= base.
 
-    Applies the step maps of ``table`` (built from A when not given) in
-    grid order, so stack[i+1] = F[i] @ stack[i] exactly.  Forward sweeping
-    never inverts anything, so non-regressive systems are handled (the
-    sweep simply passes through a singular factor).
+    stack[i+1] = F[i] ... F[base] over the step maps of ``table`` (built
+    from A when not given), as one prefix scan (:func:`scan_maps`); the
+    values agree with sequential application to rounding.  Forward
+    sweeping never inverts anything, so non-regressive systems are handled
+    (the sweep simply passes through a singular factor).
     """
     if table is None:
         table = step_table(A, grid)
     n = A.n
     stack = np.full((len(grid), n, n), np.nan)
     stack[base_index] = np.eye(n)
-    for i in range(base_index, len(grid) - 1):
-        np.matmul(table.F[i], stack[i], out=stack[i + 1])
+    stack[base_index + 1:] = scan_maps(table.F[base_index:])[0]
     return TransitionMatrix(grid=grid, base_index=base_index, stack=stack)
 
 

@@ -85,13 +85,12 @@ class TestSolveTsale:
                    "--out", str(specs["dir"] / "out_missing")])
         assert rc == 2
 
-    def test_deterministic_output(self, specs, monkeypatch):
+    def test_deterministic_output(self, specs):
         args = ["solve-tsale", "--ts", specs["z"], "--system",
                 specs["a_half"], "--cost", specs["one"]]
         out1 = specs["dir"] / "det1"
         out2 = specs["dir"] / "det2"
         assert main(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("CHRONOSLYAP_THREADS", "4")
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "tsale.csv").read_bytes() == \
             (out2 / "tsale.csv").read_bytes()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 
+import chronoslyap.lyapunov as lyap
 from chronoslyap import (
     CostMatrix,
     SystemMatrix,
@@ -27,6 +28,7 @@ from chronoslyap.errors import (
     NotRegressive,
     SeriesNotConverged,
     SpectralRadiusNotLessThanOne,
+    SymmetryDriftExceeded,
     UnstableSpectrum,
     WindowTooShort,
 )
@@ -269,6 +271,25 @@ class TestDynamicSolve:
         with pytest.raises(NotRegressive):
             solve_tsdle([[-1.0]], [[1.0]], [[1.0]], w, 0.0, dense_step=1.0)
 
+    def test_batched_drift_check_names_first_time(self):
+        P = np.stack([np.eye(2)] * 5)
+        P[3, 0, 1] += 1e-6
+        P[4, 1, 0] += 1e-6
+        with pytest.raises(SymmetryDriftExceeded, match=r"at t = 0\.3 "):
+            lyap._symmetrize_stack_checked(P, np.arange(5) / 10)
+        np.testing.assert_array_equal(
+            lyap._symmetrize_stack_checked(P[:3], np.arange(3)), P[:3])
+
+    def test_ill_conditioned_transport_warns_once(self):
+        # cond(Phi) passes COND_WARN near the end of the window only
+        A = np.array([[-0.5, 1e4], [0.0, -0.5]])
+        w = make_canonical("integers", (0, 60))
+        with pytest.warns(RuntimeWarning, match="condition number") as rec:
+            sol = solve_tsdle(A, np.eye(2), np.zeros((2, 2)), w, 0.0,
+                              dense_step=1.0)
+        assert len(rec) == 1 and "t = 60.0" in str(rec[0].message)
+        assert np.all(np.isfinite(sol.values))
+
     def test_requires_window_start(self):
         w = make_canonical("reals", (0, 2))
         with pytest.raises(InvalidParameter):
@@ -324,7 +345,12 @@ class TestStationary:
 
     def test_no_decay_detected(self):
         w = make_canonical("reals", (0, 5))
-        with pytest.raises(NoDecayDetected):
+        with pytest.raises(
+            NoDecayDetected,
+            match=r"fitted rate 2\.000e-01 over a window of length 5; "
+                  r"either the spectrum is not stable for this time scale "
+                  r"or the window is too short to show decay",
+        ):
             stationary_initial_condition([[0.1]], [[1.0]], w, 0.0)
 
     def test_window_too_short(self):

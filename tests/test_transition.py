@@ -181,6 +181,21 @@ class TestTransition:
 
 
 class TestTransitionInverse:
+    def test_batched_inverses_match_pointwise(self, rng):
+        w = make_canonical("pulse", (0, 4), a=1, b=0.5)
+        g = build_grid(w, 0.05)
+        A = SystemMatrix.from_constant(random_hurwitz(rng, 3))
+        tm = sweep_transition(A, g, base_index=3)
+        want = np.array([tm.inverse_at_index(i) for i in range(3, len(g))])
+        np.testing.assert_allclose(tm.inverses(), want, rtol=1e-12)
+
+    def test_batched_inverses_name_first_singular_time(self):
+        w = make_canonical("pulse", (0, 5), a=1, b=1)
+        g = build_grid(w, 0.1)
+        tm = sweep_transition(SystemMatrix.from_constant([[-1.0]]), g)
+        with pytest.raises(SingularTransition, match=r"at t = 2\.0 is"):
+            tm.inverses()
+
     def test_identity(self):
         w = make_canonical("reals", (0, 1))
         g = build_grid(w, 0.1)

@@ -12,6 +12,8 @@ from chronoslyap import (
     solve_tsdle_stationary,
 )
 from chronoslyap.errors import GridMismatch, NonSymmetric, NotRegressive
+from chronoslyap.tscalc import ScalarSignal, exp_ts
+from chronoslyap.verify import _decay_envelope
 from conftest import random_hurwitz, random_spd
 
 
@@ -144,6 +146,13 @@ class TestEmpiricalDecay:
         w = make_canonical("integers", (0, 30))
         traj = simulate([[-0.5]], w, [1.0], dense_step=1.0)
         assert empirical_decay(traj, 0.4)  # 1 - 0.4 = 0.6 > 0.5
+
+    def test_envelope_matches_exp_ts_on_pulse(self):
+        w = make_canonical("pulse", (0, 6), a=1, b=0.5)
+        g = build_grid(w, 0.05)
+        p = ScalarSignal.from_rule(g, lambda t: -0.7)
+        want = [exp_ts(p, float(t), 0.0) for t in g.times]
+        np.testing.assert_allclose(_decay_envelope(g, 0.7), want, rtol=1e-12)
 
     def test_requires_positive_regressivity(self):
         w = make_canonical("integers", (0, 10))
