@@ -49,6 +49,7 @@ from .lyapunov import (
     solve_dale_oracle,
     solve_ddle,
     solve_tsale_pointwise,
+    solve_tsale_series,
     solve_tsdle,
     solve_tsdle_stationary,
     stationary_initial_condition,

@@ -27,6 +27,7 @@ from .lyapunov import (
     cdle_direct_solution,
     ddle_recursion_solution,
     solve_tsale_pointwise,
+    solve_tsale_series,
     solve_tsdle,
     solve_tsdle_stationary,
     stationary_initial_condition,
@@ -51,8 +52,18 @@ _VALIDATION_ERRORS = (
 )
 
 
+#: Every number written to a CSV: 17 significant digits, which round-trip.
+_CELL = "%.17g"
+
+
 def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+    return _CELL % float(x)
+
+
+def _row_format(row) -> str:
+    """The %-format string of one CSV row: strings as they are, numbers as
+    :data:`_CELL`."""
+    return ",".join("%s" if isinstance(cell, str) else _CELL for cell in row)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -68,11 +79,13 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write ``rows`` under ``header``, one %-format call per row.  Every
+    row has the column types of the first (a non-finite number is written
+    as a number, not as a string)."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row
-        ))
+    if rows:
+        fmt = _row_format(rows[0])
+        lines += [fmt % tuple(row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -106,34 +119,6 @@ def load_system(path: str) -> SystemMatrix:
     if A.n != n:
         raise err.InvalidParameter(f"system spec says n = {n} but A is {A.n}x{A.n}")
     return A
-
-
-def load_signal_csv(path: str, grid) -> "ScalarSignal":
-    """Tabulated scalar signal from a (t, value) CSV, aligned to the grid."""
-    import csv as _csv
-
-    from .tscalc import ScalarSignal
-
-    table = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in _csv.reader(handle):
-            if not row or row[0].strip().lower() in ("t", "time"):
-                continue
-            table[float(row[0])] = float(row[1])
-    values = []
-    for t in grid.times:
-        key = float(t)
-        if key not in table:
-            matches = [v for tv, v in table.items()
-                       if abs(tv - key) <= grid.window.tol]
-            if not matches:
-                raise err.InvalidParameter(
-                    f"signal CSV has no sample at grid time {key}"
-                )
-            values.append(matches[0])
-        else:
-            values.append(table[key])
-    return ScalarSignal.from_table(grid, values)
 
 
 def load_cost(path: str) -> CostMatrix:
@@ -180,7 +165,7 @@ def _solution_header(n: int) -> list[str]:
 
 def _gramian_rows(sol: GramianSolution) -> tuple[list[str], list[list]]:
     header = _solution_header(sol.values.shape[1])
-    rows = [[t, *P.reshape(-1), res if np.isfinite(res) else "nan", mineig]
+    rows = [[t, *P.reshape(-1), res if np.isfinite(res) else np.nan, mineig]
             for t, P, res, mineig in zip(sol.times, sol.values, sol.residuals,
                                          sol.min_eigenvalues())]
     return header, rows
@@ -202,27 +187,50 @@ def _cmd_solve_tsale(args) -> int:
     # pointwise family: one algebraic solve per grid point, with A and mu
     # frozen at that point; the window end has no forward graininess and is
     # skipped.  M is constant, so points sharing the schedule piece and mu
-    # share one solve and its formatted cells.
-    times = grid.times[:-1]
-    keys = zip(A.pieces_at(times).tolist(), grid.mus[:-1].tolist())
-    solved: dict = {}  # key -> (meta, residual, formatted cells)
-    rows = []
-    for t, key in zip(times.tolist(), keys):
-        if key not in solved:
-            A_t, M_t, mu_t = A.at(t), M.at(t), key[1]
-            meta: dict = {}
-            P = solve_tsale_pointwise(A_t, M_t, mu_t, meta=meta)
-            res = tsale_residual(A_t, P, M_t, mu_t)
-            cells = [*P.reshape(-1), res, np.linalg.eigvalsh(P)[0]]
-            solved[key] = (meta, res, ",".join(_fmt(c) for c in cells))
-        rows.append([t, solved[key][2]])
+    # share one solve and its formatted cells.  Keys are numbered in order
+    # of first occurrence, so that the first failing key is the one a
+    # point-by-point solve would meet first.
+    times, mus = grid.times[:-1], grid.mus[:-1]
+    mu_values, mu_index = np.unique(mus, return_inverse=True)
+    _, first, key_of_row = np.unique(
+        A.pieces_at(times) * len(mu_values) + mu_index,
+        return_index=True, return_inverse=True)
+    order = np.argsort(first)  # keys by first occurrence
+    key_of_row = np.argsort(order)[key_of_row]
+    first = first[order]
+    A_k, mu_k, M_c = A.stack_at(times[first]), mus[first], M.constant
+
+    P = np.empty((len(mu_k), A.n, A.n))
+    terms, tails = np.zeros(len(mu_k), dtype=int), np.zeros(len(mu_k))
+    stop, failure = len(mu_k), None
+    for i in np.flatnonzero(mu_k == 0.0):  # one per schedule piece
+        try:
+            P[i] = solve_tsale_pointwise(A_k[i], M_c, 0.0)
+        except err.ChronosLyapError as exc:
+            # raised below, unless a series key before it fails first
+            stop, failure = i, exc
+            break
+    series = np.flatnonzero(mu_k[:stop] > 0.0)
+    P[series], terms[series], tails[series] = solve_tsale_series(
+        A_k[series], M_c, mu_k[series])
+    if failure is not None:
+        raise failure
+
+    res = tsale_residual(A_k, P, M_c, mu_k)
+    values = np.column_stack([P.reshape(len(P), -1), res,
+                              np.linalg.eigvalsh(P)[:, 0]])
+    fmt = _row_format(values[0])
+    cells = [fmt % tuple(v) for v in values.tolist()]
+    rows = [[t, cells[k]] for t, k in zip(times.tolist(), key_of_row.tolist())]
 
     _write_csv(out / "tsale.csv", _solution_header(A.n), rows)
     _write_json(out / "summary.json", {
         "equation": "TSALE",
-        "horizon": max((m["terms"] or 0) for m, _, _ in solved.values()),
-        "tail_bound": max(float(m["tail"]) for m, _, _ in solved.values()),
-        "max_residual": max(res for _, res, _ in solved.values()),
+        "horizon": int(terms.max()),
+        "tail_bound": float(tails.max()),
+        "max_residual": float(res.max()),
+        "max_relative_residual": float(res.max())
+        / max(float(np.linalg.norm(M_c, "fro")), 1e-300),
         "points": len(rows),
         "time_scale": window_to_spec(w),
     })
@@ -352,7 +360,7 @@ def _cmd_verify(args) -> int:
     for k in range(m):
         rows.append(
             [trace.times[k]] + list(traj.states[k])
-            + [trace.V[k], trace.V_delta[k] if trace.valid[k] else "nan"]
+            + [trace.V[k], trace.V_delta[k] if trace.valid[k] else np.nan]
         )
     _write_csv(out / "trajectory.csv", header, rows)
     _write_json(out / "verify.json", {

@@ -6,8 +6,10 @@ The algebraic family, for constant graininess mu:
 
 solved pointwise by Bartels-Stewart (mu = 0) or, for mu > 0, as the Stein
 equation B^T P B - P = -mu M with B = I + mu A by Smith doubling, which
-stops on a true bound of the truncated tail.  Independent dense
-Kronecker/Stein oracles exist for verification only.
+stops on a true bound of the truncated tail.  The doubling runs on a
+stack of (A, mu) keys at once (:func:`solve_tsale_series`), each key with
+its own stopping test; a single solve is the stack of one.  Independent
+dense Kronecker/Stein oracles exist for verification only.
 
 The dynamic family, on an arbitrary window:
 
@@ -182,10 +184,12 @@ def _symmetrize_checked(P: np.ndarray, what: str = "solution") -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _symmetrize_stack_checked(P: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """:func:`_symmetrize_checked` over a (G, n, n) stack in one batch (kept
-    apart so that the single-matrix check of the pointwise solves stays
-    cheap); the error names the first offending time."""
+def _symmetrize_stack_checked(P: np.ndarray, where: np.ndarray,
+                              name: str = "t") -> np.ndarray:
+    """:func:`_symmetrize_checked` over a (k, n, n) stack in one batch (kept
+    apart so that the single-matrix check of the Bartels-Stewart solves
+    stays cheap); the error names ``name`` = ``where[i]`` of the first
+    offending matrix."""
     PT = np.swapaxes(P, 1, 2)
     drift = np.linalg.norm(P - PT, axis=(1, 2))
     bad = drift > SYM_DRIFT * np.maximum(np.linalg.norm(P, axis=(1, 2)),
@@ -193,8 +197,8 @@ def _symmetrize_stack_checked(P: np.ndarray, times: np.ndarray) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         raise SymmetryDriftExceeded(
-            f"solution asymmetry {drift[i]:.3e} at t = {times[i]:g} exceeds "
-            f"{SYM_DRIFT:g} * norm"
+            f"solution asymmetry {drift[i]:.3e} at {name} = {where[i]:g} "
+            f"exceeds {SYM_DRIFT:g} * norm"
         )
     return 0.5 * (P + PT)
 
@@ -211,23 +215,100 @@ def _as_cost(M) -> CostMatrix:
     return CostMatrix.from_constant(M)
 
 
-def spectrum_in_hilger(A: np.ndarray, mu: float) -> bool:
-    """Whether every eigenvalue of A lies in the open Hilger disk for mu
-    (the open left half-plane when mu = 0)."""
-    lam = np.linalg.eigvals(A)
-    if mu == 0.0:
-        return bool(np.all(lam.real < 0.0))
-    return bool(np.all(np.abs(1.0 + mu * lam) < 1.0))
-
-
-def tsale_residual(A: np.ndarray, P: np.ndarray, M: np.ndarray,
-                   mu: float) -> float:
-    """Frobenius norm of A^T P + P A + mu A^T P A + M."""
-    R = A.T @ P + P @ A + mu * (A.T @ P @ A) + M
-    return float(np.linalg.norm(R, "fro"))
+def tsale_residual(A, P, M, mu):
+    """Frobenius norm of A^T P + P A + mu A^T P A + M: a float for one
+    (n, n) solve, a (k,) array for (k, n, n) stacks of A and P (mu a scalar
+    or one value per key); both run the same code."""
+    A = np.asarray(A, dtype=float)
+    At = np.swapaxes(A, -1, -2)
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    R = At @ P + P @ A + mu * (At @ P @ A) + M
+    norms = np.sqrt(np.einsum("...ij,...ij->...", R, R))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 # -- algebraic solvers --------------------------------------------------------
+
+
+def solve_tsale_series(A, M, mus, horizon_tol: float = SERIES_TOL,
+                       max_terms: int = 200_000,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve A_i^T P_i + P_i A_i + mu_i A_i^T P_i A_i = -M for a stack of
+    keys (A_i, mu_i), mu_i > 0, in one batch.
+
+    Key i is the Stein equation B_i^T P_i B_i - P_i = -mu_i M,
+    B_i = I + mu_i A_i, whose solution is the series
+    P_i = mu_i sum_j (B_i^T)^j M B_i^j.  Smith doubling sums its first 2^k
+    terms as S <- S + X^T S X, X <- X X (X = B^(2^k)), one batched product
+    per step over the keys still summing.  Since P - S = X^T P X,
+    q = ||X||_F^2 < 1 bounds the tail by q ||S|| / (1 - q) (Frobenius); a
+    key leaves the stack once its bound is at most ``horizon_tol * ||S||``.
+
+    ``A`` has shape (k, n, n), ``M`` (n, n) and ``mus`` (k,).  Returns the
+    symmetrized solutions (k, n, n), the terms summed per key (2^k) and
+    the tail bound per key.  The eigenvalues are computed once per run of
+    equal consecutive A_i.  Raises NonSymmetricM for an asymmetric M, and
+    for key i: UnstableSpectrum when an eigenvalue of A_i lies outside the
+    open Hilger disk for mu_i, SeriesNotConverged when ``max_terms`` terms
+    are summed first, SymmetryDriftExceeded.  A key's checks run in that
+    order, and the error names the first failing key in stack order.
+    """
+    A = np.asarray(A, dtype=float)
+    M = np.asarray(M, dtype=float)
+    mus = np.asarray(mus, dtype=float)
+    k, n = len(A), M.shape[0]
+    if A.shape != (k, n, n) or M.shape != (n, n) or mus.shape != (k,):
+        raise InvalidParameter(
+            "A must be a (k, n, n) stack, M (n, n) and mus (k,)")
+    if not np.all(mus > 0.0):
+        raise InvalidParameter("every mu of the series solve must be > 0")
+    _require_symmetric(M, NonSymmetricM, what="M")
+    new = np.ones(k, dtype=bool)  # a run of equal A_i starts here
+    new[1:] = np.any(A[1:] != A[:-1], axis=(1, 2))
+    lam = np.linalg.eigvals(A[new])[np.cumsum(new) - 1]
+    hilger = np.all(np.abs(1.0 + mus[:, None] * lam) < 1.0, axis=1)
+    # keys after the first failing one cannot change the error raised
+    stop = k if hilger.all() else int(np.argmin(hilger))
+
+    out = np.empty((stop, n, n))
+    terms = np.empty(stop, dtype=int)
+    tails = np.empty(stop)
+    active = np.arange(stop)
+    X = np.eye(n) + mus[:stop, None, None] * A[:stop]
+    P = mus[:stop, None, None] * M
+    count = 1
+    while len(active):
+        q = np.einsum("kij,kij->k", X, X)
+        norm_p = np.sqrt(np.einsum("kij,kij->k", P, P))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(q < 1.0, q * norm_p / (1.0 - q), math.inf)
+        done = tail <= horizon_tol * norm_p
+        if done.any():
+            idx = active[done]
+            out[idx], terms[idx], tails[idx] = P[done], count, tail[done]
+            keep = ~done
+            active, P, X, tail = active[keep], P[keep], X[keep], tail[keep]
+        if 2 * count > max_terms:
+            break
+        P = P + np.swapaxes(X, 1, 2) @ P @ X
+        X = X @ X
+        count *= 2
+
+    # keys still active did not converge; all keys before them did
+    failed = int(active[0]) if len(active) else stop
+    P = _symmetrize_stack_checked(out[:failed], mus, "mu")
+    if failed < stop:
+        raise SeriesNotConverged(
+            f"series tail bound {tail[0]:.3e} is above {horizon_tol:g} * "
+            f"||P|| after {count} terms at mu = {float(mus[failed])} "
+            f"(max_terms = {max_terms})"
+        )
+    if stop < k:
+        raise UnstableSpectrum(
+            "spectrum of A is not inside the Hilger region for mu = "
+            f"{float(mus[stop])}"
+        )
+    return P, terms, tails
 
 
 def solve_tsale_pointwise(A, M, mu: float, horizon_tol: float = SERIES_TOL,
@@ -236,58 +317,41 @@ def solve_tsale_pointwise(A, M, mu: float, horizon_tol: float = SERIES_TOL,
     """Solve A^T P + P A + mu A^T P A = -M for one graininess value.
 
     mu = 0: the continuous Lyapunov equation, by Bartels-Stewart.
-    mu > 0: the Stein equation B^T P B - P = -mu M, B = I + mu A, whose
-    solution is the series P = mu * sum_j (B^T)^j M B^j.  Smith doubling
-    sums its first 2^k terms as S <- S + X^T S X, X <- X X (X = B^(2^k)).
-    Since P - S = X^T P X, q = ||X||_F^2 < 1 bounds the tail by
-    q ||S|| / (1 - q) (Frobenius); the sum stops once that bound is at most
-    ``horizon_tol * ||S||`` and records it as ``meta["tail"]``, with
-    ``meta["terms"] = 2^k``.  SeriesNotConverged when ``max_terms`` terms
-    are summed first.
+    mu > 0: the k = 1 call of :func:`solve_tsale_series` (Smith doubling
+    on the Stein form, stopping on a true tail bound), which records the
+    bound as ``meta["tail"]`` and the terms summed, a power of two, as
+    ``meta["terms"]``.  SeriesNotConverged when ``max_terms`` terms are
+    summed first.
 
     Raises UnstableSpectrum when an eigenvalue of A lies outside the open
-    Hilger disk for mu, NonSymmetricM for an asymmetric M.
+    Hilger disk for mu (the open left half-plane when mu = 0),
+    NonSymmetricM for an asymmetric M.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    if mu > 0:
+        P, terms, tails = solve_tsale_series(A[None], M, [mu], horizon_tol,
+                                             max_terms)
+        if meta is not None:
+            meta.update({"method": "series", "terms": int(terms[0]),
+                         "tail": float(tails[0]),
+                         "domain": SeedDomain(mu=mu, horizon=int(terms[0]))})
+        return P[0]
+
     n = A.shape[0]
     if A.shape != (n, n) or M.shape != (n, n):
         raise InvalidParameter("A and M must be square of equal size")
-    if mu < 0:
+    if mu != 0:
         raise InvalidParameter("mu must be >= 0")
     _require_symmetric(M, NonSymmetricM, what="M")
-    if not spectrum_in_hilger(A, mu):
+    if not np.all(np.linalg.eigvals(A).real < 0.0):
         raise UnstableSpectrum(
             f"spectrum of A is not inside the Hilger region for mu = {mu}"
         )
-
-    if mu == 0.0:
-        P = solve_continuous_lyapunov(A.T, -M)
-        if meta is not None:
-            meta.update({"method": "bartels-stewart", "terms": None,
-                         "tail": 0.0, "domain": SeedDomain(mu=0.0)})
-        return _symmetrize_checked(P)
-
-    X = np.eye(n) + mu * A
-    P = mu * M
-    terms = 1
-    while True:
-        q = float(np.vdot(X, X))
-        norm_p = float(np.linalg.norm(P, "fro"))
-        tail = q * norm_p / (1.0 - q) if q < 1.0 else math.inf
-        if tail <= horizon_tol * norm_p:
-            break
-        if 2 * terms > max_terms:
-            raise SeriesNotConverged(
-                f"series tail bound {tail:.3e} is above {horizon_tol:g} * "
-                f"||P|| after {terms} terms (max_terms = {max_terms})"
-            )
-        P = P + X.T @ P @ X
-        X = X @ X
-        terms *= 2
+    P = solve_continuous_lyapunov(A.T, -M)
     if meta is not None:
-        meta.update({"method": "series", "terms": terms, "tail": tail,
-                     "domain": SeedDomain(mu=mu, horizon=terms)})
+        meta.update({"method": "bartels-stewart", "terms": None,
+                     "tail": 0.0, "domain": SeedDomain(mu=0.0)})
     return _symmetrize_checked(P)
 
 

@@ -349,43 +349,34 @@ class Grid:
 
 
 def build_grid(w: TimeScaleWindow, dense_step: float) -> Grid:
-    """Discretize ``w`` with dense sub-steps of at most ``dense_step``."""
+    """Discretize ``w`` with dense sub-steps of at most ``dense_step``.
+
+    A segment [a, b] longer than the window tolerance gets the points
+    a + j * dense_step below b and then b itself (a last sub-point within
+    the tolerance of b is replaced by b); a shorter one gets a alone.
+    """
     if not (0 < dense_step < math.inf):
         raise InvalidParameter("dense_step must be finite and > 0")
-    times: list[float] = []
-    mus: list[float] = []
-    seg_index: list[int] = []
-    seg_lo: list[float] = []
-    seg_hi: list[float] = []
-    n_seg = len(w.segments)
-    for i, (a, b) in enumerate(w.segments):
-        if b - a <= w.tol:
-            pts = [a]
-        else:
-            k = math.ceil((b - a) / dense_step - 1e-9)
-            pts = [a + j * dense_step for j in range(k)]
-            # shortened final sub-step lands exactly on the endpoint
-            if b - pts[-1] <= w.tol:
-                pts[-1] = b
-            else:
-                pts.append(b)
-        for j, t in enumerate(pts):
-            times.append(t)
-            last_in_seg = j == len(pts) - 1
-            if last_in_seg:
-                m = w.segments[i + 1][0] - b if i + 1 < n_seg else 0.0
-            else:
-                m = 0.0
-            mus.append(m)
-            seg_index.append(i)
-            seg_lo.append(a)
-            seg_hi.append(b)
+    seg = np.array(w.segments)
+    lo, hi = seg[:, 0], seg[:, 1]
+    dense = hi - lo > w.tol
+    steps = np.maximum(np.ceil((hi - lo) / dense_step - 1e-9), 1.0)
+    k = np.where(dense, steps, 1.0).astype(int)
+    # the last sub-point is replaced by b, or b is appended after it
+    k += dense & (hi - (lo + (k - 1) * dense_step) > w.tol)
+    seg_index = np.repeat(np.arange(len(seg)), k)
+    last = np.cumsum(k) - 1
+    j = np.arange(last[-1] + 1) - np.repeat(last - k + 1, k)
+    times = lo[seg_index] + j * dense_step
+    times[last] = np.where(dense, hi, lo)
+    mus = np.zeros(len(times))
+    mus[last[:-1]] = lo[1:] - hi[:-1]
     return Grid(
         window=w,
         dense_step=float(dense_step),
-        times=np.asarray(times, dtype=float),
-        mus=np.asarray(mus, dtype=float),
-        seg_index=np.asarray(seg_index, dtype=int),
-        seg_lo=np.asarray(seg_lo, dtype=float),
-        seg_hi=np.asarray(seg_hi, dtype=float),
+        times=times,
+        mus=mus,
+        seg_index=seg_index,
+        seg_lo=lo[seg_index],
+        seg_hi=hi[seg_index],
     )

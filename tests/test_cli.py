@@ -70,6 +70,32 @@ class TestSolveTsale:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "UnstableSpectrum"
 
+    @pytest.mark.parametrize("schedule, mu", [
+        # pulse a = 1, b = 0.5: the jump at 2.5 (mu = 0.5) comes before the
+        # dense point 3.0 (mu = 0) in grid order
+        ([[0.0, [[-1.0]]], [2.5, [[0.5]]]], "0.5"),
+        ([[0.0, [[-1.0]]], [3.0, [[0.5]]]], "0.0"),
+        # continuous-stable but outside the Hilger disk of mu = 0.5, then a
+        # piece that is unstable for every mu
+        ([[0.0, [[-1.0]]], [2.5, [[-5.0]]], [4.2, [[0.5]]]], "0.5"),
+        ([[0.0, [[-1.0]]], [3.0, [[-5.0]]], [4.2, [[0.5]]]], "0.5"),
+    ])
+    def test_first_failing_point_is_reported(self, tmp_path, schedule, mu):
+        files = [write_spec(tmp_path / "ts.json",
+                            {"kind": "pulse", "a": 1.0, "b": 0.5,
+                             "window": [0.0, 6.0]}),
+                 write_spec(tmp_path / "a.json",
+                            {"n": 1, "A": {"schedule": schedule}}),
+                 write_spec(tmp_path / "m.json",
+                            {"n": 1, "M": {"constant": [[1.0]]}})]
+        out = tmp_path / "out"
+        assert main(["solve-tsale", "--ts", files[0], "--system", files[1],
+                     "--cost", files[2], "--out", str(out)]) == 3
+        assert json.loads((out / "error.json").read_text()) == {
+            "error": "UnstableSpectrum",
+            "message": "spectrum of A is not inside the Hilger region for "
+                       f"mu = {mu}"}
+
     def test_dimension_mismatch_exit_code(self, specs):
         out = specs["dir"] / "out_dim"
         rc = main(["solve-tsale", "--ts", specs["z"], "--system",
@@ -111,14 +137,20 @@ class TestSolveTsaleMemo:
                             {"n": 2, "A": {"schedule": self.SCHEDULE}}),
                  write_spec(tmp_path / "m.json",
                             {"n": 2, "M": {"constant": self.M}})]
-        solve = cli.solve_tsale_pointwise
+        solve, series = cli.solve_tsale_pointwise, cli.solve_tsale_series
         seen = []
 
         def counting(A, M, mu, **kwargs):
             seen.append((np.asarray(A).tobytes(), mu))
             return solve(A, M, mu, **kwargs)
 
+        def counting_series(A, M, mus, **kwargs):
+            seen.extend((a.tobytes(), mu) for a, mu in
+                        zip(np.asarray(A), np.asarray(mus).tolist()))
+            return series(A, M, mus, **kwargs)
+
         monkeypatch.setattr(cli, "solve_tsale_pointwise", counting)
+        monkeypatch.setattr(cli, "solve_tsale_series", counting_series)
         out = tmp_path / "out"
         assert main(["solve-tsale", "--ts", files[0], "--system", files[1],
                      "--cost", files[2], "--out", str(out)]) == 0
@@ -142,13 +174,21 @@ class TestSolveTsaleMemo:
         assert len(seen) == len(set(seen)) == len(keys) == 6
         assert len(lines) - 1 > 60 * len(keys)
 
+        summary = json.loads((out / "summary.json").read_text())
+        residuals = [float(row["residual_norm"])
+                     for row in read_rows(out / "tsale.csv")]
+        assert summary["max_residual"] == max(residuals) > 0.0
+        assert summary["max_relative_residual"] == \
+            summary["max_residual"] / np.linalg.norm(M, "fro")
+
 
 class TestExitCodes:
     def test_solver_bug_is_an_internal_error(self, specs, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(cli, "solve_tsale_pointwise", broken)
+        # every mu of the integers is 1: the stacked series solve runs
+        monkeypatch.setattr(cli, "solve_tsale_series", broken)
         out = specs["dir"] / "out_bug"
         rc = main(["solve-tsale", "--ts", specs["z"], "--system",
                    specs["a_half"], "--cost", specs["one"],
@@ -324,30 +364,6 @@ class TestReduceCheck:
                    specs["z"], "--system", specs["a_half"], "--cost",
                    specs["eye2"], "--out", str(out)])
         assert rc == 2
-
-
-class TestSignalCsv:
-    def test_roundtrip(self, tmp_path):
-        from chronoslyap import build_grid, delta_integral, make_canonical
-        from chronoslyap.cli import load_signal_csv
-
-        grid = build_grid(make_canonical("integers", (0, 4)), 1.0)
-        lines = ["t,value"] + [f"{t},{2.0 * t}" for t in grid.times]
-        path = tmp_path / "signal.csv"
-        path.write_text("\n".join(lines) + "\n")
-        sig = load_signal_csv(str(path), grid)
-        assert delta_integral(sig, 0.0, 4.0) == 2.0 * (0 + 1 + 2 + 3)
-
-    def test_missing_sample(self, tmp_path):
-        from chronoslyap import build_grid, make_canonical
-        from chronoslyap.cli import load_signal_csv
-        from chronoslyap.errors import InvalidParameter
-
-        grid = build_grid(make_canonical("integers", (0, 3)), 1.0)
-        path = tmp_path / "signal.csv"
-        path.write_text("t,value\n0,1\n1,1\n")
-        with pytest.raises(InvalidParameter):
-            load_signal_csv(str(path), grid)
 
 
 class TestFormatting:

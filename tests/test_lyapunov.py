@@ -16,9 +16,11 @@ from chronoslyap import (
     solve_dale_oracle,
     solve_ddle,
     solve_tsale_pointwise,
+    solve_tsale_series,
     solve_tsdle,
     solve_tsdle_stationary,
     stationary_initial_condition,
+    tsale_residual,
 )
 from chronoslyap.errors import (
     InvalidParameter,
@@ -161,6 +163,81 @@ class TestProductionAlgebraic:
         meta = {}
         solve_tsale_pointwise([[-0.5]], [[1.0]], 1.0, max_terms=32, meta=meta)
         assert meta["terms"] == 32
+
+
+def _stein_key(rng, n, mu, shear, radius=0.9):
+    """Non-normal A whose B = I + mu A has eigenvalues in (-radius, radius)."""
+    q = random_orthogonal(rng, n)
+    upper = shear * np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+    B = q @ (np.diag(rng.uniform(-radius, radius, size=n)) + upper) @ q.T
+    return (B - np.eye(n)) / mu
+
+
+@st.composite
+def series_stacks(draw):
+    """(A, M, mus): k <= 6 keys of one n <= 8, each with its own mu in
+    (0, 1] (a repeated A among them) and a non-normal Hilger-stable A."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    mus = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=k,
+                                 max_size=k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    shear = draw(st.floats(0.0, 1.0))
+    A = np.stack([_stein_key(rng, n, mu, shear) for mu in mus])
+    if k > 1:  # the same A at a second graininess, if still Hilger-stable
+        B = np.eye(n) + mus[1] * A[0]
+        if np.max(np.abs(np.linalg.eigvals(B))) < 0.95:
+            A[1] = A[0]
+    return A, random_spd(rng, n), mus
+
+
+class TestSeriesStack:
+    @settings(max_examples=60, deadline=None)
+    @given(series_stacks())
+    def test_matches_stein_oracle_and_single_solves(self, case):
+        A, M, mus = case
+        P, terms, tails = solve_tsale_series(A, M, mus)
+        res = tsale_residual(A, P, M, mus)
+        for i, mu in enumerate(mus):
+            want = solve_dale_oracle(mu * A[i], mu * M)
+            assert _rel(P[i], want) <= 1e-9
+            one, t1, tail1 = solve_tsale_series(A[i:i + 1], M, mus[i:i + 1])
+            assert P[i].tobytes() == one[0].tobytes()
+            assert (terms[i], tails[i]) == (t1[0], tail1[0])
+            assert res[i] == tsale_residual(A[i], P[i], M, mu)
+
+    def test_fast_and_slow_keys_keep_their_own_terms(self, rng):
+        n, M = 3, random_spd(rng, 3)
+        mus = np.array([0.5, 0.25, 1.0, 0.5, 0.125])
+        radii = [0.1, 0.99, 0.5, 0.995, 0.1]
+        A = np.stack([_stein_key(rng, n, mu, 0.5, r)
+                      for mu, r in zip(mus, radii)])
+        P, terms, tails = solve_tsale_series(A, M, mus)
+        assert len(set(terms.tolist())) >= 3
+        for i, mu in enumerate(mus):
+            meta = {}
+            single = solve_tsale_pointwise(A[i], M, mu, meta=meta)
+            assert P[i].tobytes() == single.tobytes()
+            assert (terms[i], tails[i]) == (meta["terms"], meta["tail"])
+            assert tails[i] <= lyap.SERIES_TOL * np.linalg.norm(P[i])
+
+    def test_errors_name_the_first_failing_key(self):
+        M = np.eye(1)
+        slow = [[-0.001]]  # B = 0.999: far more than 64 terms
+        unstable = [[-3.0]]  # B = 1 - 3 mu: outside the Hilger disk
+        fine = [[-2.0]]  # B = 1 - 2 mu: a few terms at mu <= 0.5
+        stack = np.array([fine, slow, unstable, slow])
+        with pytest.raises(SeriesNotConverged, match=r"at mu = 0\.5 "):
+            solve_tsale_series(stack, M, [0.25, 0.5, 0.75, 1.0],
+                               max_terms=64)
+        stack = np.array([fine, unstable, slow, unstable])
+        with pytest.raises(UnstableSpectrum, match=r"mu = 0\.75$"):
+            solve_tsale_series(stack, M, [0.5, 0.75, 1.0, 0.25],
+                               max_terms=64)
+        with pytest.raises(InvalidParameter):
+            solve_tsale_series(stack, M, [0.5, 0.0, 1.0, 0.25])
+        with pytest.raises(NonSymmetricM):
+            solve_tsale_series(np.stack([-np.eye(2)] * 2),
+                               [[1.0, 0.5], [0.0, 1.0]], [0.5, 1.0])
 
 
 class TestOracles:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,97 @@ def test_window_from_random_breakpoints(xs):
         assert not w.contains((b0 + a1) / 2)
     for a, b in w.segments:
         assert w.contains((a + b) / 2)
+
+
+def build_grid_loop(w, dense_step):
+    """Point-by-point reference for :func:`build_grid`: the grid arrays as
+    (times, mus, seg_index, seg_lo, seg_hi)."""
+    times, mus, seg_index, seg_lo, seg_hi = [], [], [], [], []
+    n_seg = len(w.segments)
+    for i, (a, b) in enumerate(w.segments):
+        if b - a <= w.tol:
+            pts = [a]
+        else:
+            # at least one sub-step: the point-by-point loop this replaced
+            # raised IndexError when the step exceeds 1e9 segment lengths
+            k = max(math.ceil((b - a) / dense_step - 1e-9), 1)
+            pts = [a + j * dense_step for j in range(k)]
+            # shortened final sub-step lands exactly on the endpoint
+            if b - pts[-1] <= w.tol:
+                pts[-1] = b
+            else:
+                pts.append(b)
+        for j, t in enumerate(pts):
+            times.append(t)
+            last_in_seg = j == len(pts) - 1
+            if last_in_seg:
+                m = w.segments[i + 1][0] - b if i + 1 < n_seg else 0.0
+            else:
+                m = 0.0
+            mus.append(m)
+            seg_index.append(i)
+            seg_lo.append(a)
+            seg_hi.append(b)
+    return (np.asarray(times, dtype=float), np.asarray(mus, dtype=float),
+            np.asarray(seg_index, dtype=int), np.asarray(seg_lo, dtype=float),
+            np.asarray(seg_hi, dtype=float))
+
+
+_spans = st.floats(0.0, 12.0)
+
+
+@st.composite
+def grid_windows(draw):
+    """A window of every canonical kind or an explicit mix of points and
+    intervals, with a dense step that may or may not divide its segments."""
+    kind = draw(st.sampled_from(["reals", "integers", "h_uniform", "quantum",
+                                 "pulse", "explicit"]))
+    t0 = draw(st.floats(-5.0, 5.0))
+    if kind == "explicit":
+        segs, a = [], t0
+        for _ in range(draw(st.integers(1, 10))):
+            b = a + draw(st.just(0.0) | st.floats(1e-3, 3.0))
+            segs.append((a, b))
+            a = b + draw(st.floats(1e-3, 2.0))
+        w = TimeScaleWindow(tuple(segs))
+    elif kind == "reals":
+        w = make_canonical(kind, (t0, t0 + draw(_spans)))
+    elif kind == "integers":
+        w = make_canonical(kind, (t0, t0 + 1.0 + draw(_spans)))
+    elif kind == "h_uniform":
+        h = draw(st.floats(0.05, 2.0))
+        w = make_canonical(kind, (t0, t0 + h + draw(_spans)), h=h)
+    elif kind == "quantum":
+        start = draw(st.floats(-1.0, 0.0) | st.floats(0.1, 1.0))
+        w = make_canonical(kind, (start, 1.0 + draw(_spans)),
+                           q=draw(st.floats(1.01, 3.0)))
+    else:  # starting inside a pulse, so that the window is not empty
+        a, b = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
+        t0 = draw(st.integers(-3, 3)) * (a + b) + draw(st.floats(0.0, a))
+        w = make_canonical(kind, (t0, t0 + draw(_spans)), a=a, b=b)
+    step = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])
+                | st.floats(0.01, 2.0))
+    return w, step
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_windows())
+def test_build_grid_matches_loop(case):
+    w, step = case
+    g = build_grid(w, step)
+    want = build_grid_loop(w, step)
+    got = (g.times, g.mus, g.seg_index, g.seg_lo, g.seg_hi)
+    for name, x, y in zip(("times", "mus", "seg_index", "seg_lo", "seg_hi"),
+                          got, want):
+        assert np.array_equal(x, y), name
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_build_grid_step_longer_than_a_segment():
+    # ceil(length / step - 1e-9) is 0 here; the segment still gets a and b
+    g = build_grid(make_canonical("pulse", (0, 3), a=1, b=1), 1e10)
+    np.testing.assert_array_equal(g.times, [0, 1, 2, 3])
+    np.testing.assert_array_equal(g.mus, [0, 1, 0, 0])
 
 
 class TestSpecRoundTrip:
