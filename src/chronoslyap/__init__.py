@@ -41,7 +41,6 @@ from .transition import (
 from .lyapunov import (
     CostMatrix,
     GramianSolution,
-    SeedDomain,
     cdle_direct_solution,
     ddle_recursion_solution,
     solve_cale_oracle,

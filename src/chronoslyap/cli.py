@@ -326,6 +326,8 @@ def _parse_x0(raw: str, n: int) -> np.ndarray:
         x0 = np.asarray([float(v) for v in raw.split(",")], dtype=float)
     if x0.shape != (n,):
         raise err.InvalidParameter(f"--x0 must have {n} components")
+    if not np.isfinite(x0).all():
+        raise err.InvalidParameter("--x0 has non-finite entries")
     return x0
 
 
@@ -385,7 +387,7 @@ def reduce_discrepancies(w_r: TimeScaleWindow, w_z: TimeScaleWindow,
     transport at the rate the integrand decays, so the trailing half would
     measure seed noise rather than path agreement.
     """
-    if not A.is_constant or not M.is_constant:
+    if not A.is_constant:
         raise err.InvalidParameter("reduction check requires constant A, M")
     out = {}
     frac = 0.5 if ic_mode == "stationary" else 1.0
@@ -455,7 +457,6 @@ def _add_common(p: argparse.ArgumentParser, *, cost: bool = True,
         p.add_argument("--x0", default=None, help="comma-separated state")
     p.add_argument("--dense-step", type=float, default=0.01,
                    dest="dense_step")
-    p.add_argument("--tail-tol", type=float, default=1e-8, dest="tail_tol")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -473,10 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-tsdle", help="dynamic solve from --ic")
     _add_common(p, ic=True)
+    p.add_argument("--tail-tol", type=float, default=1e-8, dest="tail_tol")
     p.set_defaults(func=_cmd_solve_tsdle)
 
     p = sub.add_parser("stationary", help="stationary initial matrix")
     _add_common(p)
+    p.add_argument("--tail-tol", type=float, default=1e-8, dest="tail_tol")
     p.set_defaults(func=_cmd_stationary)
 
     p = sub.add_parser("stability", help="spectral stability report")
@@ -500,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Lyapunov trace along a trajectory")
     _add_common(p, x0=True)
+    p.add_argument("--tail-tol", type=float, default=1e-8, dest="tail_tol")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("reduce-check",

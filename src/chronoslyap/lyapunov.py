@@ -21,7 +21,9 @@ truncated improper integral of Phi^T M Phi.  The stationary solve is
 evaluated by a backward sweep that never inverts a transition matrix, so
 it tolerates non-regressive systems (whose forward flow may be singular).
 
-All sweeps of one solve read a single exact step table
+The weight M is one constant symmetric matrix (:class:`CostMatrix`) and
+A(t) is piecewise constant, so every grid interval has an exact step map
+and Gramian.  All sweeps of one solve read a single step table
 (:func:`~chronoslyap.transition.step_table`): the forward transition, the
 cumulative Gramian and the backward Gramian sweep.  The forward transition
 and the backward Gramian are prefix scans over the table, the cumulative
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -83,58 +85,22 @@ MAX_DENSE_DIM = 12
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Symmetric weight matrix M(t), constant or given by a rule."""
+    """The symmetric weight matrix M, constant in time."""
 
     n: int
-    constant: np.ndarray | None = None
-    rule: Callable[[float], np.ndarray] | None = None
+    constant: np.ndarray
 
     def __post_init__(self):
-        if (self.constant is None) == (self.rule is None):
-            raise InvalidParameter("CostMatrix needs a constant or a rule")
-        if self.constant is not None:
-            mat = np.asarray(self.constant, dtype=float)
-            if mat.shape != (self.n, self.n):
-                raise InvalidParameter(f"M must be {self.n}x{self.n}")
-            _require_symmetric(mat, NonSymmetricM, what="M")
-            object.__setattr__(self, "constant", mat)
+        mat = np.asarray(self.constant, dtype=float)
+        if mat.shape != (self.n, self.n):
+            raise InvalidParameter(f"M must be {self.n}x{self.n}")
+        _require_symmetric(mat, NonSymmetricM, what="M")
+        object.__setattr__(self, "constant", mat)
 
     @classmethod
     def from_constant(cls, M) -> "CostMatrix":
         M = np.atleast_2d(np.asarray(M, dtype=float))
         return cls(n=M.shape[0], constant=M)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.constant is not None
-
-    def at(self, t: float) -> np.ndarray:
-        if self.constant is not None:
-            return self.constant
-        return np.asarray(self.rule(t), dtype=float)
-
-    def stack_at(self, times) -> np.ndarray:
-        """M(t) for each of ``times``, shape (len(times), n, n)."""
-        if self.constant is not None:
-            return np.broadcast_to(self.constant, (len(times), self.n, self.n))
-        return np.array([self.at(float(t)) for t in times]).reshape(
-            len(times), self.n, self.n)
-
-
-@dataclass(frozen=True)
-class SeedDomain:
-    """Integration domain of one pointwise algebraic solve: the uniform
-    step lattice of width mu when mu > 0, the continuous half-line when
-    mu = 0.  ``horizon`` records the truncation actually used (the series
-    terms summed, 2^k after k doublings, or None for the exact continuous
-    solve)."""
-
-    mu: float
-    horizon: int | None = None
-
-    @property
-    def kind(self) -> str:
-        return "continuous" if self.mu == 0.0 else "uniform-discrete"
 
 
 @dataclass
@@ -169,6 +135,8 @@ class GramianSolution:
 
 
 def _require_symmetric(M: np.ndarray, err, tol: float = 1e-12, what: str = "matrix"):
+    if not np.isfinite(M).all():
+        raise InvalidParameter(f"{what} has non-finite entries")
     scale = max(1.0, float(np.abs(M).max()))
     if float(np.abs(M - M.T).max()) > tol * scale:
         raise err(f"{what} is not symmetric within {tol:g}")
@@ -334,8 +302,7 @@ def solve_tsale_pointwise(A, M, mu: float, horizon_tol: float = SERIES_TOL,
                                              max_terms)
         if meta is not None:
             meta.update({"method": "series", "terms": int(terms[0]),
-                         "tail": float(tails[0]),
-                         "domain": SeedDomain(mu=mu, horizon=int(terms[0]))})
+                         "tail": float(tails[0])})
         return P[0]
 
     n = A.shape[0]
@@ -351,7 +318,7 @@ def solve_tsale_pointwise(A, M, mu: float, horizon_tol: float = SERIES_TOL,
     P = solve_continuous_lyapunov(A.T, -M)
     if meta is not None:
         meta.update({"method": "bartels-stewart", "terms": None,
-                     "tail": 0.0, "domain": SeedDomain(mu=0.0)})
+                     "tail": 0.0})
     return _symmetrize_checked(P)
 
 
@@ -424,7 +391,7 @@ def _cumulative_gramian(M: CostMatrix, grid: Grid, tm: TransitionMatrix,
     """
     Phi = tm.stack
     PhiT = np.swapaxes(Phi, 1, 2)
-    env = np.linalg.norm(PhiT @ M.stack_at(grid.times) @ Phi, axis=(1, 2))
+    env = np.linalg.norm(PhiT @ M.constant @ Phi, axis=(1, 2))
     K = np.zeros_like(Phi)
     np.cumsum(PhiT[:-1] @ table.K @ Phi[:-1], axis=0, out=K[1:])
     return K, env
@@ -447,7 +414,7 @@ def _residual_stack(grid: Grid, A: SystemMatrix, M: CostMatrix,
     """Per-point Frobenius residual of the dynamic equation with numeric
     P^delta; NaN where the difference estimate does not exist."""
     Pd, valid = stack_delta(grid, P_stack)
-    R = dynamic_operator(grid, A, P_stack, Pd) + M.stack_at(grid.times)
+    R = dynamic_operator(grid, A, P_stack, Pd) + M.constant
     norms = np.linalg.norm(R, axis=(1, 2))
     norms[~valid] = np.nan
     return norms
@@ -469,7 +436,7 @@ def solve_tsdle(A, M, P0, w: TimeScaleWindow, t0: float,
     P(t) transports P0 with the cached transition sweep:
 
         P(t) = (Phi^T)^{-1} [P0 - K(t)] Phi^{-1},
-        K(t) = integral over [t0, t) of Phi^T(s, t0) M(s) Phi(s, t0).
+        K(t) = integral over [t0, t) of Phi^T(s, t0) M Phi(s, t0).
 
     The transport inverts Phi, so the system must be regressive on the
     window.  Residual norms of the dynamic equation (with numeric P^delta)
@@ -479,7 +446,6 @@ def solve_tsdle(A, M, P0, w: TimeScaleWindow, t0: float,
     M = _as_cost(M)
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
     _require_symmetric(P0, NonSymmetricInput, what="P0")
-    _require_symmetric(M.at(t0), NonSymmetricInput, what="M(t0)")
     if abs(t0 - w.t0) > w.tol:
         raise InvalidParameter("t0 must be the window start")
     if grid is None:
@@ -563,7 +529,7 @@ def stationary_initial_condition(A, M, w: TimeScaleWindow, t0: float,
                                  dense_step: float = 0.01,
                                  grid: Grid | None = None) -> np.ndarray:
     """Truncated improper integral P0 = integral over [t0, t_end) of
-    Phi^T(s, t0) M(s) Phi(s, t0).
+    Phi^T(s, t0) M Phi(s, t0).
 
     The integrand-norm envelope must decay on the window (fitted log-slope
     < 0, else NoDecayDetected) and the extrapolated tail must stay below
@@ -581,7 +547,7 @@ def stationary_initial_condition(A, M, w: TimeScaleWindow, t0: float,
 
 
 def _backward_gramian_sweep(table: StepTable) -> np.ndarray:
-    """P(t_i) = integral over [t_i, t_end) of Phi^T(s, t_i) M(s) Phi(s, t_i),
+    """P(t_i) = integral over [t_i, t_end) of Phi^T(s, t_i) M Phi(s, t_i),
     by the backward recursion P_i = F_i^T P_{i+1} F_i + K_i over the step
     table, which never inverts a transition matrix.
 
@@ -598,7 +564,7 @@ def _backward_gramian_sweep(table: StepTable) -> np.ndarray:
 def _tail_gramians(A: SystemMatrix, M: np.ndarray, w: TimeScaleWindow,
                    times) -> list[np.ndarray]:
     """P(t) = integral over [t, t_end) of Phi^T(s, t) M Phi(s, t) at each of
-    the grid times ``times``, for a constant M, without the step table.
+    the grid times ``times``, without the step table.
 
     One backward pass over the window: I + mu A per jump and one Van Loan
     exponential per maximal dense piece (a segment split only at schedule
@@ -641,8 +607,8 @@ def solve_tsdle_stationary(A, M, w: TimeScaleWindow, t0: float,
     systems are handled.
 
     The value at the window start must match the forward integral, and
-    (for a constant M) the values at three interior grid points must match
-    their integral form recomputed without the step table (see
+    the values at three interior grid points must match their integral
+    form, recomputed exactly without the step table (see
     :func:`_tail_gramians`), all within ``spot_tol`` relative.  When M is
     positive definite, every reported P(t) is checked positive definite
     (PositiveDefinitenessLost otherwise).  The terminal grid point is not
@@ -668,9 +634,8 @@ def solve_tsdle_stationary(A, M, w: TimeScaleWindow, t0: float,
     G = len(grid)
     ks = sorted({min(int(frac * (G - 1)), G - 2)
                  for frac in (0.25, 0.5, 0.75)} - {0})
-    checks = [(0, P0_forward)]
-    if M.is_constant:  # the integral form needs Van Loan's closed form
-        checks += zip(ks, _tail_gramians(A, M.constant, w, grid.times[ks]))
+    checks = [(0, P0_forward),
+              *zip(ks, _tail_gramians(A, M.constant, w, grid.times[ks]))]
     diffs = [float(np.linalg.norm(P_stack[k] - want, "fro"))
              / max(float(np.linalg.norm(want, "fro")), 1e-300)
              for k, want in checks]
@@ -687,7 +652,7 @@ def solve_tsdle_stationary(A, M, w: TimeScaleWindow, t0: float,
 
     residuals = _residual_stack(grid, A, M, P_stack)
 
-    m_eigs = np.linalg.eigvalsh(M.at(t0))
+    m_eigs = np.linalg.eigvalsh(M.constant)
     if m_eigs[0] > 0.0:
         mins = np.linalg.eigvalsh(P_stack[: G - 1])[:, 0]
         if float(mins.min()) <= 0.0:
@@ -746,7 +711,7 @@ def solve_cdle(A, M, P0, interval: tuple[float, float],
 
 def solve_ddle(A, M, P0, trange: tuple[int, int]) -> GramianSolution:
     """Discrete specialization on consecutive integers, cross-checked
-    against the exact recursion P(t+1) = A_R^{-T} (P(t) - M(t)) A_R^{-1}."""
+    against the exact recursion P(t+1) = A_R^{-T} (P(t) - M) A_R^{-1}."""
     w = make_canonical("integers", (float(trange[0]), float(trange[1])))
     sol = solve_tsdle(A, M, P0, w, w.t0, dense_step=1.0)
     sol.meta["equation"] = "DDLE"
@@ -772,7 +737,7 @@ def ddle_recursion_solution(A: SystemMatrix, M: CostMatrix, P0: np.ndarray,
     for k in range(len(times) - 1):
         t = float(times[k])
         Ar = A.recursive_at(t)
-        Q = out[k] - M.at(t)
+        Q = out[k] - M.constant
         Y = np.linalg.solve(Ar.T, Q)
         out[k + 1] = np.linalg.solve(Ar.T, Y.T).T
     return out

@@ -6,13 +6,14 @@ constant, so every grid interval has an exact step map: X <- (I + mu A) X
 across a scattered point and X <- expm(h A) X across a dense interval
 (composed over the schedule pieces it straddles).  :func:`step_table`
 builds these maps once per distinct interval class and gathers them by
-index; given a cost M it also holds each interval's weighted Gramian, from
-Van Loan's block exponential.  The forward sweep here and the Gramian
-sweeps of the Lyapunov solvers all consume one table.  The transition is
-the prefix product of the step maps and the backward Gramian a prefix
-composition of affine maps; :func:`scan_maps` computes both by one
-odd-even scan.  Inverses are computed by LU solve with a condition-number
-estimate, lazily per point or for the whole sweep in one batch.
+index; given the constant cost M it also holds each interval's exact
+weighted Gramian: mu M at a jump, Van Loan's block exponential across a
+dense interval.  The forward sweep here and the Gramian sweeps of the
+Lyapunov solvers all consume one table.  The transition is the prefix
+product of the step maps and the backward Gramian a prefix composition of
+affine maps; :func:`scan_maps` computes both by one odd-even scan.
+Inverses are computed by LU solve with a condition-number estimate, lazily
+per point or for the whole sweep in one batch.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class StepTable:
 
     ``F[i]`` carries the state from times[i] to times[i+1].  With a cost,
     ``K[i]`` is the integral over [times[i], times[i+1]) of
-    Phi^T(s, times[i]) M(s) Phi(s, times[i]): mu M(times[i]) at a jump.
+    Phi^T(s, times[i]) M Phi(s, times[i]): mu M at a jump.
     """
 
     F: np.ndarray                   # (G-1, n, n)
@@ -241,36 +242,20 @@ def gramian_step_pair(A_mat: np.ndarray, M_mat: np.ndarray,
     return phi, 0.5 * (K + K.T)
 
 
-def _piece_maps(A_mat: np.ndarray, cost, a: float,
-                b: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """(F, K) across [a, b) under one constant A.
-
-    A time-varying cost (``CostMatrix.rule``) has no closed form; its K
-    falls back to Simpson's rule on the exact half-step maps, an
-    O(h^5)-per-interval quadrature of the smooth integrand.
-    """
-    h = b - a
-    if cost is None:
-        return expm(h * A_mat), None
-    if cost.is_constant:
-        return gramian_step_pair(A_mat, cost.constant, h)
-    E = expm(0.5 * h * A_mat)
-    F = E @ E
-    K = h / 6.0 * (cost.at(a) + 4.0 * E.T @ cost.at(0.5 * (a + b)) @ E
-                   + F.T @ cost.at(b) @ F)
-    return F, 0.5 * (K + K.T)
-
-
 def dense_maps(A: SystemMatrix, lo: float, hi: float,
                cost=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact (F, K) across the dense stretch [lo, hi): one map per schedule
-    piece, composed in time order (K is None without a cost)."""
+    piece, expm(h A) or, with a cost, Van Loan's (F, K) from
+    :func:`gramian_step_pair`, composed in time order (K is None without a
+    cost)."""
     cuts = [lo, *A.breakpoints_in(lo, hi), hi]
     F = np.eye(A.n)
     K = None if cost is None else np.zeros((A.n, A.n))
     for a, b in zip(cuts, cuts[1:]):
-        f, k = _piece_maps(A.at(a), cost, a, b)
-        if K is not None:
+        if cost is None:
+            f = expm((b - a) * A.at(a))
+        else:
+            f, k = gramian_step_pair(A.at(a), cost.constant, b - a)
             K = K + F.T @ k @ F
         F = f @ F
     return F, K
@@ -283,8 +268,7 @@ def step_table(A: SystemMatrix, grid: Grid, cost=None) -> StepTable:
     Jumps are built vectorized over all scattered points.  Dense intervals
     fall into classes (step rounded to 1e-13, schedule piece) whose maps
     are built once by :func:`dense_maps` and gathered by index; an interval
-    that straddles a breakpoint, and every dense interval under a
-    time-varying cost, is a class of its own.
+    that straddles a breakpoint is a class of its own.
     """
     lo, hi, mus = grid.times[:-1], grid.times[1:], grid.mus[:-1]
     jump = mus > 0.0
@@ -292,12 +276,11 @@ def step_table(A: SystemMatrix, grid: Grid, cost=None) -> StepTable:
     F[jump] = np.eye(A.n) + mus[jump, None, None] * A.stack_at(lo[jump])
     K = None if cost is None else np.empty_like(F)
     if K is not None:
-        K[jump] = mus[jump, None, None] * cost.stack_at(lo[jump])
+        K[jump] = mus[jump, None, None] * cost.constant
     dense = np.flatnonzero(~jump)
     if len(dense):
         piece = A.pieces_at(lo[dense])
         own = piece != A.pieces_at(np.nextafter(hi[dense], -np.inf))
-        own |= cost is not None and not cost.is_constant
         keys = np.column_stack([np.round(hi[dense] - lo[dense], 13),
                                 np.where(own, -1 - dense, piece)])
         _, first, inv = np.unique(keys, axis=0, return_index=True,

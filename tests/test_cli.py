@@ -223,15 +223,36 @@ class TestExitCodes:
         ["simulate", "--x0", "1,a"],
         ["solve-tsdle", "--cost", "ONE", "--ic", "file:P0"],
         ["solve-tsale", "--cost", "ONE", "--dense-step", "inf"],
+        # json reads NaN, so a non-finite entry must be refused explicitly
+        ["simulate", "--x0", "nan"],
+        ["solve-tsdle", "--cost", "ONE", "--ic", "file:NAN_P0"],
+        ["solve-tsale", "--cost", "NAN_M"],
+        ["solve-tsdle", "--cost", "NAN_M"],
+        ["stationary", "--cost", "NAN_M"],
     ])
     def test_malformed_flag_is_a_validation_error(self, specs, tmp_path,
                                                   argv):
         p0 = write_spec(tmp_path / "p0.json", {"P0": [[1.0, 0.0]]})
-        argv = [a.replace("ONE", specs["one"]).replace("P0", p0)
+        nan_p0 = write_spec(tmp_path / "nan_p0.json",
+                            {"P0": [[float("nan")]]})
+        nan_m = write_spec(tmp_path / "nan_m.json",
+                           {"n": 1, "M": {"constant": [[float("nan")]]}})
+        argv = [a.replace("NAN_P0", nan_p0).replace("NAN_M", nan_m)
+                .replace("ONE", specs["one"]).replace("P0", p0)
                 for a in argv]
+        out = tmp_path / "out"
         rc = main(argv + ["--ts", specs["z"], "--system", specs["a_half"],
-                          "--out", str(tmp_path / "out")])
+                          "--out", str(out)])
         assert rc == 2
+        assert json.loads((out / "error.json").read_text())["error"] == \
+            "InvalidParameter"
+
+    def test_tail_tol_only_where_it_is_read(self, specs):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-tsale", "--ts", specs["z"], "--system",
+                  specs["a_half"], "--cost", specs["one"],
+                  "--tail-tol", "1e-3"])
+        assert exc.value.code == 2
 
 
 class TestSolveTsdle:

@@ -67,6 +67,11 @@ class TestAlgebraicPointwise:
                 -np.eye(2), [[1.0, 0.5], [0.0, 1.0]], 1.0
             )
 
+    def test_non_finite_m(self):
+        for mu in (0.0, 1.0):
+            with pytest.raises(InvalidParameter):
+                solve_tsale_pointwise(-np.eye(1), [[np.nan]], mu)
+
     def test_meta_records_tail(self):
         meta = {}
         solve_tsale_pointwise([[-0.5]], [[1.0]], 1.0, meta=meta)

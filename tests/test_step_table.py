@@ -1,7 +1,6 @@
 """Exact step-map table: regression tests for stiff inputs, a differential
-test against whole-segment exponentials, the time-varying-cost fallback,
-the independence of the stationary spot checks and the vectorized
-regressivity scan."""
+test against whole-segment exponentials, the independence of the
+stationary spot checks and the vectorized regressivity scan."""
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from chronoslyap import (
     lyapunov_trace,
     make_canonical,
     simulate,
-    solve_tsdle,
     solve_tsdle_stationary,
     sweep_transition,
 )
@@ -193,34 +191,6 @@ def test_table_sweeps_match_whole_segment_reference(case):
     want = forward_sweep_loop(table.F)
     err = np.linalg.norm(tm.stack - want, axis=(1, 2))
     assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(1, 2)))
-
-
-# -- time-varying cost: Simpson on exact half-step maps -------------------------
-
-
-def test_time_varying_cost_converges_under_halved_step(rng):
-    w = make_canonical("pulse", (0, 6), a=1, b=0.5)
-    q = random_orthogonal(rng, 2)
-    A = q @ np.diag([-0.6, -1.0]) @ q.T
-    M0 = random_spd(rng, 2)
-    M = CostMatrix(n=2, rule=lambda t: M0 * (1.0 + 0.5 * np.sin(3.0 * t)))
-    coarse = solve_tsdle_stationary(A, M, w, 0.0, tail_tol=0.5,
-                                    dense_step=0.02)
-    fine = solve_tsdle_stationary(A, M, w, 0.0, tail_tol=0.5,
-                                  dense_step=0.01)
-    worst = 0.0
-    for i in range(0, len(coarse.times), 17):
-        P = coarse.values[i]
-        ref = fine.value_at(float(coarse.times[i]))
-        worst = max(worst, np.linalg.norm(P - ref) / np.linalg.norm(ref))
-    assert worst <= 1e-8
-    # a rule that is constant in t reproduces the closed-form Gramians
-    const = CostMatrix(n=2, rule=lambda t: M0)
-    P0 = np.zeros((2, 2))
-    got = solve_tsdle(A, const, P0, w, 0.0, dense_step=0.01)
-    want = solve_tsdle(A, M0, P0, w, 0.0, dense_step=0.01)
-    scale = np.linalg.norm(want.values, axis=(1, 2)).max()
-    assert np.abs(got.values - want.values).max() <= 1e-9 * scale
 
 
 # -- vectorized regressivity scan -----------------------------------------------
